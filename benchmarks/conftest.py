@@ -20,6 +20,8 @@ import os
 
 import pytest
 
+from repro.experiments.runner import RunnerOptions
+
 
 def bench_n(default: int) -> int:
     """Loads per measurement point, overridable via REPRO_BENCH_N."""
@@ -27,10 +29,10 @@ def bench_n(default: int) -> int:
     return int(value) if value else default
 
 
-def bench_jobs(default: int = 1) -> int:
-    """Grid worker processes, overridable via REPRO_BENCH_JOBS."""
+def bench_runner() -> RunnerOptions:
+    """Runner options; grid worker processes come from REPRO_BENCH_JOBS."""
     value = os.environ.get("REPRO_BENCH_JOBS")
-    return int(value) if value else default
+    return RunnerOptions(jobs=int(value) if value else 1)
 
 
 @pytest.fixture

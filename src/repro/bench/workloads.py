@@ -321,7 +321,7 @@ def _run_taint(scale: Scale) -> int:
     return events
 
 
-# -- runner_dispatch: per-cell overhead of the two pool architectures -------
+# -- runner_dispatch: per-cell overhead of the persistent pool --------------
 
 def _dispatch_cell(seed: int) -> dict:
     """A near-empty grid cell: whatever time its run takes is dispatch
@@ -330,36 +330,26 @@ def _dispatch_cell(seed: int) -> dict:
 
 
 def _run_runner_dispatch(scale: Scale):
-    """Fork-per-cell vs persistent-worker dispatch overhead.
+    """Persistent-worker dispatch overhead.
 
-    The same trivial grid runs through both process-backed dispatchers
-    sequentially (one cell in flight at a time), so the difference in
-    ``elapsed_s - sum(cell wall time)`` is purely the cost of getting a
-    cell to a worker and its result back: process creation per cell for
-    the old pool, one pipe round-trip for the persistent pool.  The
-    aux metrics record each architecture's per-cell overhead; the
-    event count stays a pure function of the specs.
+    A trivial grid runs on a one-worker pool (one cell in flight at a
+    time), so ``elapsed_s - sum(cell wall time)`` is purely the cost of
+    getting a cell to a worker and its result back: one pipe round-trip
+    per cell plus the pool's start-up, amortized.  The aux metric
+    records that per-cell overhead; the event count stays a pure
+    function of the specs.
     """
     from repro.experiments.runner import RunCache, RunSpec, run_grid
 
     specs = [RunSpec.make("repro.bench.workloads:_dispatch_cell", seed)
              for seed in range(scale.dispatch_cells)]
-    # timeout_s forces process isolation at jobs=1: one fresh process
-    # per cell, serialized -- the pre-persistent-pool architecture.
-    forked = run_grid(specs, jobs=1, timeout_s=120.0,
-                      cache=RunCache.disabled())
     pooled = run_grid(specs, workers=1, cache=RunCache.disabled())
 
-    events = 0
-    for grid in (forked, pooled):
-        events += sum(m["value"] + m["processed_events"]
-                      for m in grid.metrics())
-    cells = float(len(specs))
+    events = sum(m["value"] + m["processed_events"]
+                 for m in pooled.metrics())
     aux = {
-        "fork_dispatch_s_per_cell":
-            max(0.0, forked.elapsed_s - forked.wall_time_s) / cells,
         "worker_dispatch_s_per_cell":
-            max(0.0, pooled.elapsed_s - pooled.wall_time_s) / cells,
+            max(0.0, pooled.elapsed_s - pooled.wall_time_s) / len(specs),
     }
     return events, aux
 
@@ -496,8 +486,8 @@ def workloads() -> Tuple[Workload, ...]:
         Workload("taint", 1,
                  "interprocedural LEAK taint pass over the package",
                  _run_taint),
-        Workload("runner_dispatch", 1,
-                 "fork-per-cell vs persistent-worker dispatch overhead",
+        Workload("runner_dispatch", 2,
+                 "persistent-worker dispatch overhead per cell",
                  _run_runner_dispatch),
         Workload("dos_detector", 1,
                  "DoS-detector probe taps over a mixed traffic stream",

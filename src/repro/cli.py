@@ -26,9 +26,12 @@ RUNNER_COMMANDS = ("table1", "figure5", "drops", "table2", "defenses",
 
 def _add_runner(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-j", "--jobs", type=int, default=1,
-                        help="worker processes for the experiment grid "
-                             "(default 1; results are identical at any "
-                             "job count)")
+                        help="worker processes for the experiment grid; "
+                             "above 1 the grid runs on a supervised "
+                             "persistent pool (heartbeats, crash respawn, "
+                             "poison-cell quarantine).  Default 1 runs "
+                             "in-process; results are identical at any "
+                             "job count")
     parser.add_argument("--no-cache", action="store_true",
                         help="ignore and do not write the on-disk run cache")
     parser.add_argument("--cache-dir", default=None,
@@ -37,17 +40,12 @@ def _add_runner(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cell-timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="wall-clock deadline per grid cell; a cell "
-                             "that overruns is killed and marked failed "
-                             "(default: none)")
+                             "that overruns is killed and marked failed. "
+                             "Runs the grid on the worker pool even at "
+                             "--jobs 1 (default: none)")
     parser.add_argument("--retries", type=int, default=0,
                         help="extra attempts for a crashed/hung/raising "
                              "cell, with exponential backoff (default 0)")
-    parser.add_argument("-w", "--workers", type=int, default=None,
-                        metavar="N",
-                        help="run the grid on N supervised persistent "
-                             "worker processes (heartbeats, crash respawn, "
-                             "poison-cell quarantine); overrides --jobs "
-                             "dispatch, results stay identical")
     parser.add_argument("--ledger", default=None, metavar="FILE",
                         help="append-only JSONL sweep ledger; an "
                              "interrupted run re-executed with the same "
@@ -55,13 +53,15 @@ def _add_runner(parser: argparse.ArgumentParser) -> None:
                              "cells, even with --no-cache")
 
 
-def _runner_kwargs(args) -> dict:
-    from repro.experiments.runner import RunCache
+def runner_options(args):
+    """The :class:`~repro.experiments.runner.RunnerOptions` that a
+    runner-backed subcommand's flags ask for."""
+    from repro.experiments.runner import RunCache, RunnerOptions
 
     cache = RunCache(root=args.cache_dir, enabled=not args.no_cache)
-    return {"jobs": args.jobs, "cache": cache,
-            "cell_timeout_s": args.cell_timeout, "retries": args.retries,
-            "workers": args.workers, "ledger": args.ledger}
+    return RunnerOptions(jobs=args.jobs, cache=cache,
+                         timeout_s=args.cell_timeout, retries=args.retries,
+                         ledger=args.ledger)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -167,7 +167,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "chaos":
         from repro.experiments.chaos import run_chaos_command
-        return run_chaos_command(args, **_runner_kwargs(args))
+        return run_chaos_command(args, runner_options(args))
 
     if args.command == "baseline":
         from repro.experiments.baseline import run_baseline
@@ -175,31 +175,31 @@ def main(argv: Optional[List[str]] = None) -> int:
     elif args.command == "table1":
         from repro.experiments.table1 import run_table1
         result = run_table1(n_per_point=args.loads, base_seed=args.seed,
-                            style=args.style, **_runner_kwargs(args))
+                            style=args.style, runner=runner_options(args))
     elif args.command == "figure5":
         from repro.experiments.figure5 import run_figure5
         result = run_figure5(n_per_point=args.loads, base_seed=args.seed,
-                             **_runner_kwargs(args))
+                             runner=runner_options(args))
     elif args.command == "drops":
         from repro.experiments.drops import run_drops
         result = run_drops(n_per_point=args.loads, base_seed=args.seed,
-                           **_runner_kwargs(args))
+                           runner=runner_options(args))
     elif args.command == "table2":
         from repro.experiments.table2 import run_table2
         result = run_table2(n_loads=args.loads, base_seed=args.seed,
-                            **_runner_kwargs(args))
+                            runner=runner_options(args))
     elif args.command == "defenses":
         from repro.experiments.defenses_eval import run_defenses
         result = run_defenses(n_per_defense=args.loads, base_seed=args.seed,
-                              **_runner_kwargs(args))
+                              runner=runner_options(args))
     elif args.command == "faults":
         from repro.experiments.faults_eval import run_faults_eval
         result = run_faults_eval(n_per_point=args.loads, base_seed=args.seed,
-                                 **_runner_kwargs(args))
+                                 runner=runner_options(args))
     elif args.command == "dos":
         from repro.experiments.dos_eval import run_dos_eval
         result = run_dos_eval(n_per_point=args.loads, base_seed=args.seed,
-                              **_runner_kwargs(args))
+                              runner=runner_options(args))
     elif args.command == "size-estimation":
         from repro.experiments.size_estimation import run_size_estimation
         result = run_size_estimation()

@@ -35,6 +35,7 @@ from repro.experiments.runner import (
     GridTelemetry,
     RunCache,
     RunResult,
+    RunnerOptions,
     RunSpec,
     run_grid,
 )
@@ -50,5 +51,5 @@ from repro.experiments.workers import WorkerStats
 __all__ = ["SessionConfig", "SessionResult", "isidewith_size_map",
            "run_session", "run_sessions",
            "GridError", "GridResult", "GridTelemetry", "RunCache", "RunResult",
-           "RunSpec", "run_grid",
+           "RunnerOptions", "RunSpec", "run_grid",
            "SweepLedger", "WorkerStats", "open_ledger"]

@@ -19,9 +19,8 @@ from repro.experiments.evaluation import sequence_accuracy
 from repro.experiments.results import ResultTable
 from repro.experiments.runner import (
     GridTelemetry,
-    RunCache,
+    RunnerOptions,
     RunSpec,
-    run_grid,
 )
 from repro.experiments.session import SessionConfig, run_session
 from repro.http2.server import Http2ServerConfig
@@ -115,18 +114,11 @@ def run_cell(seed: int, defense: str) -> dict:
 
 def run_defenses(n_per_defense: int = 30, base_seed: int = 0,
                  defenses: Sequence[str] = DEFENSES,
-                 jobs: Optional[int] = None,
-                 cache: Optional[RunCache] = None,
-                 cell_timeout_s: Optional[float] = None,
-                 retries: int = 0,
-                 workers: Optional[int] = None,
-                 ledger=None) -> DefensesResult:
+                 runner: RunnerOptions = RunnerOptions()) -> DefensesResult:
     """Run the attack under each defense."""
     specs = [RunSpec.make(CELL, base_seed + i, defense=defense)
              for defense in defenses for i in range(n_per_defense)]
-    grid = run_grid(specs, jobs=jobs, cache=cache, timeout_s=cell_timeout_s,
-                    retries=retries,
-                    workers=workers, ledger=ledger)
+    grid = runner.run(specs)
 
     by_defense: Dict[str, List[dict]] = {d: [] for d in defenses}
     for result in grid:

@@ -32,9 +32,8 @@ from repro.browser.browser import Browser, BrowserConfig
 from repro.experiments.results import ResultTable
 from repro.experiments.runner import (
     GridTelemetry,
-    RunCache,
+    RunnerOptions,
     RunSpec,
-    run_grid,
 )
 from repro.http2.client import Http2Client, Http2ClientConfig
 from repro.http2.server import Http2Server, Http2ServerConfig
@@ -293,12 +292,7 @@ def run_dos_eval(n_per_point: int = 2, base_seed: int = 0,
                  kinds: Sequence[str] = ATTACK_KINDS,
                  intensities: Sequence[float] = (0.5, 1.0),
                  profiles: Sequence[str] = PROFILES,
-                 jobs: Optional[int] = None,
-                 cache: Optional[RunCache] = None,
-                 cell_timeout_s: Optional[float] = None,
-                 retries: int = 0,
-                 workers: Optional[int] = None,
-                 ledger=None) -> DosEvalResult:
+                 runner: RunnerOptions = RunnerOptions()) -> DosEvalResult:
     """Sweep attack kind x intensity x profile, plus slow-client controls."""
     specs = []
     for profile in profiles:
@@ -314,9 +308,7 @@ def run_dos_eval(n_per_point: int = 2, base_seed: int = 0,
                         CELL, seed, kind=kind, profile=profile,
                         intensity=intensity,
                         attack=spec.to_jsonable()))
-    grid = run_grid(specs, jobs=jobs, cache=cache, timeout_s=cell_timeout_s,
-                    retries=retries, workers=workers,
-                    ledger=ledger, strict=False)
+    grid = runner.run(specs, strict=False)
 
     by_point: Dict[Tuple[str, str, float], List[dict]] = {}
     attempted: Dict[Tuple[str, str, float], int] = {}

@@ -13,18 +13,20 @@ That purity buys two things:
   so re-running a benchmark or resuming an interrupted sweep only
   executes the missing cells.
 
-The harness is crash-tolerant: each cell runs in its own worker
-process with an optional wall-clock deadline, a worker that dies or
-hangs marks *that* cell failed-with-reason instead of killing the grid,
-failed cells retry with capped exponential backoff, and every completed
-cell is persisted to the cache the moment it finishes -- so an
-interrupted sweep resumes from exactly the cells it is missing.
-``run_grid(strict=True)`` (the default) still raises
+There are two dispatch modes.  A sweep with one job and no deadline
+runs in-process; anything else runs on the supervised persistent
+worker pool of :mod:`repro.experiments.workers`, where a worker that
+dies or hangs marks *that* cell failed-with-reason instead of killing
+the grid.  In both modes failed cells retry with capped exponential
+backoff, and every completed cell is persisted to the cache the moment
+it finishes -- so an interrupted sweep resumes from exactly the cells
+it is missing.  ``run_grid(strict=True)`` (the default) still raises
 :class:`GridError` once the sweep is over, after caching all successes.
 
-An experiment expresses itself as a list of :class:`RunSpec`s and calls
-:func:`run_grid`; aggregation happens on the plain-dict metrics each
-cell returns.  Cell functions are addressed by dotted path
+An experiment expresses itself as a list of :class:`RunSpec`s and runs
+them through :meth:`RunnerOptions.run` (or :func:`run_grid`);
+aggregation happens on the plain-dict metrics each cell returns.  Cell
+functions are addressed by dotted path
 (``"repro.experiments.table1:run_cell"``) so worker processes can
 resolve them without a registry, and they must return JSON-serialisable
 dicts so records survive the cache round-trip unchanged.
@@ -41,15 +43,12 @@ import hashlib
 import importlib
 import itertools
 import json
-import multiprocessing
 import os
 import sys
 import time
-from collections import deque
-from dataclasses import dataclass, field
-from multiprocessing.connection import wait as _connection_wait
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 #: Environment variable overriding the default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -415,13 +414,6 @@ def _result_from_record(spec: RunSpec, record: Dict[str, Any]) -> RunResult:
     )
 
 
-def resolve_jobs(jobs: Optional[int]) -> int:
-    """``jobs`` argument -> worker count (``None``/0 -> 1)."""
-    if jobs is None or jobs <= 0:
-        return 1
-    return jobs
-
-
 #: Ceiling on the retry backoff, seconds.
 RETRY_BACKOFF_CAP_S = 10.0
 
@@ -437,13 +429,13 @@ def _retry_delay(backoff_s: float, attempt: int) -> float:
     return min(RETRY_BACKOFF_CAP_S, backoff_s * (2 ** attempt))
 
 
-def _run_serial(specs: List[RunSpec], misses: List[int], *, retries: int,
-                retry_backoff_s: float,
+def _run_serial(specs: List[RunSpec], cells: Iterable[Tuple[int, int]], *,
+                retries: int, retry_backoff_s: float,
                 on_result: Callable[[int, RunResult], None]) -> None:
-    """In-process execution: no crash isolation and no hard deadline,
-    but also no fork overhead -- the ``--jobs 1`` fast path."""
-    for index in misses:
-        attempt = 0
+    """In-process execution of ``(spec index, prior attempts)`` cells:
+    no crash isolation and no hard deadline, but also no process
+    overhead -- the ``--jobs 1`` fast path."""
+    for index, attempt in cells:
         while True:
             try:
                 result = execute_spec(specs[index])
@@ -458,119 +450,6 @@ def _run_serial(specs: List[RunSpec], misses: List[int], *, retries: int,
                     break
                 time.sleep(_retry_delay(retry_backoff_s, attempt))
                 attempt += 1
-
-
-def _worker_main(conn, spec: RunSpec) -> None:
-    """Worker-process entry: run one cell, ship the outcome, exit."""
-    try:
-        result = execute_spec(spec)
-        conn.send(("ok", result.metrics, result.wall_time_s))
-    except BaseException as exc:  # the parent must learn of *any* death
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        except OSError:
-            pass
-    finally:
-        conn.close()
-
-
-def _run_pool(specs: List[RunSpec], misses: List[int], *, jobs: int,
-              timeout_s: Optional[float], retries: int,
-              retry_backoff_s: float,
-              on_result: Callable[[int, RunResult], None]) -> None:
-    """Process-isolated execution: one worker process per cell.
-
-    Each cell gets its own :class:`multiprocessing.Process` and pipe, so
-    a worker that dies (EOF on the pipe) or overruns its deadline
-    (terminated) takes down nothing but its own cell.  A pool executor
-    cannot give that isolation: its atexit join would hang forever on a
-    truly hung worker, and one crashed worker poisons the whole map.
-    """
-    ctx = multiprocessing.get_context()
-    workers = max(1, min(jobs, len(misses)))
-    #: (spec index, prior attempts, earliest monotonic start time)
-    pending = deque((index, 0, 0.0) for index in misses)
-    #: pipe -> (spec index, prior attempts, process, monotonic deadline)
-    running: Dict[Any, Tuple[int, int, Any, Optional[float]]] = {}
-
-    def settle(index: int, attempt: int, reason: str) -> None:
-        if attempt < retries:
-            resume_at = (time.monotonic()
-                         + _retry_delay(retry_backoff_s, attempt))
-            pending.append((index, attempt + 1, resume_at))
-        else:
-            on_result(index, _failed_result(specs[index], reason,
-                                            attempt + 1))
-
-    def reap(conn, *, terminated_reason: Optional[str] = None) -> None:
-        index, attempt, proc, _ = running.pop(conn)
-        message = None
-        if terminated_reason is None:
-            try:
-                message = conn.recv()
-            except (EOFError, OSError):
-                message = None
-        else:
-            proc.terminate()
-            proc.join(1.0)
-            if proc.is_alive():
-                proc.kill()
-        conn.close()
-        proc.join()
-        if terminated_reason is not None:
-            settle(index, attempt, terminated_reason)
-        elif message is None:
-            settle(index, attempt,
-                   f"worker crashed (exit code {proc.exitcode})")
-        elif message[0] == "ok":
-            _, metrics, wall = message
-            on_result(index, RunResult(
-                spec=specs[index], metrics=metrics, wall_time_s=wall,
-                sim_time_s=float(metrics.get("sim_time_s", 0.0)),
-                processed_events=int(metrics.get("processed_events", 0)),
-                cached=False, attempts=attempt + 1))
-        else:
-            settle(index, attempt, message[1])
-
-    while pending or running:
-        now = time.monotonic()
-        # Launch: fill free slots with cells whose backoff has elapsed.
-        launchable = sorted(item for item in pending if item[2] <= now)
-        for item in launchable:
-            if len(running) >= workers:
-                break
-            pending.remove(item)
-            index, attempt, _ = item
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_worker_main,
-                               args=(child_conn, specs[index]), daemon=True)
-            proc.start()
-            child_conn.close()
-            deadline = (time.monotonic() + timeout_s
-                        if timeout_s is not None else None)
-            running[parent_conn] = (index, attempt, proc, deadline)
-
-        # How long may we block?  Until the nearest worker deadline or
-        # the nearest backoff expiry, whichever comes first.
-        now = time.monotonic()
-        horizons = [d for (_, _, _, d) in running.values() if d is not None]
-        horizons += [item[2] for item in pending if item[2] > now]
-        wait_s = max(0.0, min(horizons) - now) if horizons else None
-
-        if running:
-            for conn in _connection_wait(list(running), wait_s):
-                reap(conn)
-        elif wait_s:
-            time.sleep(wait_s)
-
-        # Deadline sweep: terminate overrunning workers.
-        if timeout_s is not None:
-            now = time.monotonic()
-            overdue = [conn for conn, (_, _, _, deadline) in running.items()
-                       if deadline is not None and deadline <= now]
-            for conn in overdue:
-                reap(conn, terminated_reason=(
-                    f"timed out after {timeout_s:g}s"))
 
 
 def run_grid(specs: Iterable[RunSpec], *, jobs: Optional[int] = None,
@@ -588,14 +467,14 @@ def run_grid(specs: Iterable[RunSpec], *, jobs: Optional[int] = None,
     pure functions of their spec, and results are returned in the order
     the specs were given regardless of completion order.
 
-    Three dispatch modes, picked in this order:
+    Two dispatch modes:
 
-    * ``workers=N`` -- the supervised **persistent pool**
-      (:mod:`repro.experiments.workers`): long-lived worker processes
-      with heartbeats, crash respawn and poison-cell quarantine.
-    * ``jobs>1`` or ``timeout_s`` -- the process-per-cell pool (full
-      isolation, one fork per cell).
-    * otherwise -- serial in-process execution.
+    * ``jobs`` at most 1, no ``timeout_s`` and no ``workers`` -- serial
+      in-process execution.
+    * otherwise -- the supervised **persistent pool**
+      (:mod:`repro.experiments.workers`) of ``workers`` processes if
+      given, else ``jobs``: long-lived workers with heartbeats, crash
+      respawn and poison-cell quarantine.
 
     ``timeout_s`` puts a wall-clock deadline on every cell (forcing
     process isolation even at ``jobs=1``); ``retries`` re-runs a
@@ -619,7 +498,9 @@ def run_grid(specs: Iterable[RunSpec], *, jobs: Optional[int] = None,
     specs = list(specs)
     if cache is None:
         cache = RunCache()
-    jobs = resolve_jobs(jobs)
+    # The pool holds ``workers`` processes if given, else ``jobs``.
+    pool_size = max(1, workers or jobs or 1)
+    pooled = bool(workers) or pool_size > 1 or timeout_s is not None
     version = code_version()
     started = time.monotonic()
 
@@ -662,7 +543,7 @@ def run_grid(specs: Iterable[RunSpec], *, jobs: Optional[int] = None,
                                          poison=reason.startswith("poison:"))
                 results[index] = result
 
-            if workers is not None and workers > 0:
+            if pooled:
                 from repro.experiments import workers as worker_pool
                 pool_kwargs: Dict[str, Any] = {}
                 if poison_strikes is not None:
@@ -674,15 +555,13 @@ def run_grid(specs: Iterable[RunSpec], *, jobs: Optional[int] = None,
                         lambda violation:
                         ledger.record_event(violation.to_jsonable()))
                 worker_stats = worker_pool.run_persistent(
-                    specs, misses, workers=workers, on_result=on_result,
-                    timeout_s=timeout_s, retries=retries,
-                    retry_backoff_s=retry_backoff_s, **pool_kwargs)
-            elif jobs > 1 or timeout_s is not None:
-                _run_pool(specs, misses, jobs=jobs, timeout_s=timeout_s,
-                          retries=retries, retry_backoff_s=retry_backoff_s,
-                          on_result=on_result)
+                    specs, misses, workers=pool_size,
+                    on_result=on_result, timeout_s=timeout_s,
+                    retries=retries, retry_backoff_s=retry_backoff_s,
+                    **pool_kwargs)
             else:
-                _run_serial(specs, misses, retries=retries,
+                _run_serial(specs, [(index, 0) for index in misses],
+                            retries=retries,
                             retry_backoff_s=retry_backoff_s,
                             on_result=on_result)
     finally:
@@ -696,6 +575,36 @@ def run_grid(specs: Iterable[RunSpec], *, jobs: Optional[int] = None,
     if strict and grid_result.failures:
         raise GridError(grid_result)
     return grid_result
+
+
+@dataclass(frozen=True)
+class RunnerOptions:
+    """How an experiment's grid is run, as one value.
+
+    None of these change *what* a sweep computes -- results are
+    byte-identical across every combination -- only how cells are
+    dispatched, recalled and journalled.  Experiments take one of these
+    as ``runner=`` and hand it their specs via :meth:`run`.
+    """
+
+    #: Worker processes; above 1 the grid runs on the persistent pool.
+    jobs: int = 1
+    #: Run cache; None means the default on-disk cache.
+    cache: Optional[RunCache] = None
+    #: Wall-clock deadline per cell (forces the pool even at one job).
+    timeout_s: Optional[float] = None
+    #: Extra attempts for a crashed, hung or raising cell.
+    retries: int = 0
+    #: Sweep ledger (a :class:`~repro.experiments.ledger.SweepLedger`
+    #: or a path to one) for crash-safe resume.
+    ledger: Optional[Any] = None
+
+    def run(self, specs: Iterable[RunSpec], *,
+            strict: bool = True) -> GridResult:
+        """:func:`run_grid` over ``specs`` with these options."""
+        return run_grid(specs, jobs=self.jobs, cache=self.cache,
+                        timeout_s=self.timeout_s, retries=self.retries,
+                        ledger=self.ledger, strict=strict)
 
 
 def grid(fn: str, seeds: Iterable[int], **param_grid: Any) -> List[RunSpec]:

@@ -26,9 +26,8 @@ from repro.core.phases import jitter_only_config
 from repro.experiments.results import ResultTable
 from repro.experiments.runner import (
     GridTelemetry,
-    RunCache,
+    RunnerOptions,
     RunSpec,
-    run_grid,
 )
 from repro.experiments.session import SessionConfig, run_session
 from repro.website.isidewith import HTML_PATH
@@ -104,18 +103,11 @@ def run_cell(seed: int, jitter_s: float, style: str) -> dict:
 def run_table1(n_per_point: int = 100, base_seed: int = 0,
                style: str = "spacing",
                jitter_values: Sequence[float] = JITTER_VALUES_S,
-               jobs: Optional[int] = None,
-               cache: Optional[RunCache] = None,
-               cell_timeout_s: Optional[float] = None,
-               retries: int = 0,
-               workers: Optional[int] = None,
-               ledger=None) -> Table1Result:
+               runner: RunnerOptions = RunnerOptions()) -> Table1Result:
     """Run the Table I sweep for one jitter style."""
     specs = [RunSpec.make(CELL, base_seed + i, jitter_s=jitter, style=style)
              for jitter in jitter_values for i in range(n_per_point)]
-    grid = run_grid(specs, jobs=jobs, cache=cache, timeout_s=cell_timeout_s,
-                    retries=retries,
-                    workers=workers, ledger=ledger)
+    grid = runner.run(specs)
 
     by_jitter: Dict[float, List[dict]] = {j: [] for j in jitter_values}
     for result in grid:

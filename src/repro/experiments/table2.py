@@ -24,9 +24,8 @@ from repro.experiments.evaluation import (
 from repro.experiments.results import ResultTable
 from repro.experiments.runner import (
     GridTelemetry,
-    RunCache,
+    RunnerOptions,
     RunSpec,
-    run_grid,
 )
 from repro.experiments.session import SessionConfig, run_session
 
@@ -108,13 +107,9 @@ def run_gap_cell(seed: int) -> dict:
 
 
 def measure_natural_gaps(n_loads: int = 10, base_seed: int = 5000,
-                         jobs: Optional[int] = None,
-                         cache: Optional[RunCache] = None,
+                         runner: RunnerOptions = RunnerOptions(),
                          telemetry: Optional[GridTelemetry] = None,
-                         cell_timeout_s: Optional[float] = None,
-                         retries: int = 0,
-                         workers: Optional[int] = None,
-                         ledger=None) -> List[float]:
+                         ) -> List[float]:
     """Mean natural inter-request gaps (ms) for HTML and I1..I8.
 
     Measured over clean (un-attacked) loads, exactly as the paper's
@@ -122,9 +117,7 @@ def measure_natural_gaps(n_loads: int = 10, base_seed: int = 5000,
     (assumption 4 of Section III).
     """
     specs = [RunSpec.make(GAP_CELL, base_seed + i) for i in range(n_loads)]
-    grid = run_grid(specs, jobs=jobs, cache=cache, timeout_s=cell_timeout_s,
-                    retries=retries,
-                    workers=workers, ledger=ledger)
+    grid = runner.run(specs)
     if telemetry is not None:
         telemetry.add(grid)
 
@@ -140,17 +133,10 @@ def measure_natural_gaps(n_loads: int = 10, base_seed: int = 5000,
 
 
 def run_table2(n_loads: int = 100, base_seed: int = 0,
-               jobs: Optional[int] = None,
-               cache: Optional[RunCache] = None,
-               cell_timeout_s: Optional[float] = None,
-               retries: int = 0,
-               workers: Optional[int] = None,
-               ledger=None) -> Table2Result:
+               runner: RunnerOptions = RunnerOptions()) -> Table2Result:
     """Run the full attack over many volunteer sessions."""
     specs = [RunSpec.make(CELL, base_seed + i) for i in range(n_loads)]
-    grid = run_grid(specs, jobs=jobs, cache=cache, timeout_s=cell_timeout_s,
-                    retries=retries,
-                    workers=workers, ledger=ledger)
+    grid = runner.run(specs)
     telemetry = GridTelemetry().add(grid)
 
     outcomes = [Table2Outcome(**metrics["outcome"])
@@ -163,10 +149,6 @@ def run_table2(n_loads: int = 100, base_seed: int = 0,
         broken_pct=aggregated["broken_pct"],
         mean_resets=aggregated["mean_resets"],
         gap_prev_ms=measure_natural_gaps(min(10, max(3, n_loads // 4)),
-                                         jobs=jobs, cache=cache,
-                                         telemetry=telemetry,
-                                         cell_timeout_s=cell_timeout_s,
-                                         retries=retries,
-                                         workers=workers, ledger=ledger),
+                                         runner=runner, telemetry=telemetry),
         telemetry=telemetry,
     )

@@ -1,8 +1,7 @@
 """Supervised persistent worker pool for the experiment runner.
 
-The process-per-cell pool in :mod:`repro.experiments.runner` pays one
-``fork`` + interpreter teardown per grid cell.  This module replaces
-that with a pool of **long-lived worker processes** supervised over
+Every parallel or deadlined sweep of :mod:`repro.experiments.runner`
+runs here, on a pool of **long-lived worker processes** supervised over
 duplex pipes: the supervisor streams one :class:`RunSpec` at a time to
 each worker (a bounded queue of depth one per worker -- backpressure is
 structural, a million-cell sweep never materializes more than
@@ -61,6 +60,7 @@ from repro.experiments.runner import (
     RunSpec,
     _failed_result,
     _retry_delay,
+    _run_serial,
     execute_spec,
 )
 from repro.invariants.violations import Violation
@@ -120,8 +120,7 @@ class WorkerStateGuard:
 
 # -- worker process entry ----------------------------------------------------
 
-def _persistent_worker_main(conn, worker_id: int,
-                            heartbeat_s: float) -> None:
+def _worker_loop(conn, worker_id: int, heartbeat_s: float) -> None:
     """Loop: receive ``("run", index, spec, ...)``, execute, reply.
 
     A daemon thread beats every ``heartbeat_s`` so the supervisor can
@@ -352,7 +351,7 @@ def run_persistent(specs: List[RunSpec], misses: List[int], *,
         next_wid += 1
         try:
             parent_conn, child_conn = ctx.Pipe(duplex=True)
-            proc = ctx.Process(target=_persistent_worker_main,
+            proc = ctx.Process(target=_worker_loop,
                                args=(child_conn, wid, heartbeat_s),
                                daemon=True)
             proc.start()
@@ -440,35 +439,21 @@ def run_persistent(specs: List[RunSpec], misses: List[int], *,
 
     def degrade_to_serial() -> None:
         """No workers and no respawn budget: finish in-process."""
-        nonlocal settled
         stats.degraded_to_serial = True
         emit("WORKER_POOL_DEGRADED", "supervisor",
              f"respawn budget exhausted after {stats.spawned} spawns; "
              f"running {len(pending)} remaining cell(s) serially")
-        while pending:
-            index, prior_attempts, _ = pending.popleft()
+        runnable = []
+        for index, prior_attempts, _ in pending:
             if strikes.get(index, 0) > 0:
                 fail(index, "worker crashed (cell killed a worker; not "
                             "re-run in the supervisor process)",
                      prior_attempts + 1)
-                continue
-            attempt = prior_attempts
-            while True:
-                try:
-                    result = execute_spec(specs[index])
-                    result.attempts = attempt + 1
-                    on_result(index, result)
-                    break
-                except Exception as exc:
-                    if attempt >= retries:
-                        fail(index, f"{type(exc).__name__}: {exc}",
-                             attempt + 1)
-                        attempt = None
-                        break
-                    time.sleep(_retry_delay(retry_backoff_s, attempt))
-                    attempt += 1
-            if attempt is not None:
-                settled += 1
+            else:
+                runnable.append((index, prior_attempts))
+        pending.clear()
+        _run_serial(specs, runnable, retries=retries,
+                    retry_backoff_s=retry_backoff_s, on_result=on_result)
 
     try:
         from multiprocessing.connection import wait as connection_wait

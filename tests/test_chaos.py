@@ -15,7 +15,7 @@ from repro.experiments.chaos import (
     write_reproducer,
     ChaosFinding,
 )
-from repro.experiments.runner import RunCache
+from repro.experiments.runner import RunCache, RunnerOptions
 from repro.http2 import flow_control
 from repro.invariants import (
     CHAOS_DEFENSES,
@@ -69,8 +69,8 @@ def test_chaos_cells_run_clean_on_the_intree_stack():
 
 
 def test_run_chaos_campaign_clean():
-    result = run_chaos(seeds=2, master_seed=0, jobs=1,
-                       cache=RunCache(enabled=False))
+    result = run_chaos(seeds=2, master_seed=0,
+                       runner=RunnerOptions(cache=RunCache(enabled=False)))
     assert result.clean
     assert result.findings == [] and result.crashes == []
 

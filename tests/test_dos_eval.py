@@ -12,7 +12,7 @@ from repro.experiments.dos_eval import (
     run_dos_eval,
     server_config,
 )
-from repro.experiments.runner import RunCache, RunSpec
+from repro.experiments.runner import RunCache, RunnerOptions, RunSpec
 
 
 def test_control_cell_loads_cleanly_on_a_slow_link():
@@ -65,8 +65,8 @@ def test_profiles_are_validated():
 
 def test_sweep_aggregates_and_renders_verdicts():
     result = run_dos_eval(n_per_point=1, kinds=("slow_preamble",),
-                          intensities=(1.0,), jobs=1,
-                          cache=RunCache.disabled())
+                          intensities=(1.0,),
+                          runner=RunnerOptions(cache=RunCache.disabled()))
     assert not result.failures
     # 2 profiles x (1 attack + 1 control) = 4 points.
     assert len(result.points) == 4

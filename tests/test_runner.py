@@ -1,13 +1,17 @@
 """Parallel grid runner: fan-out determinism, caching, invalidation."""
 
+import argparse
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from repro.cli import build_parser, runner_options
 from repro.experiments.runner import (
     GridTelemetry,
     RunCache,
+    RunnerOptions,
     RunSpec,
     code_version,
     grid,
@@ -69,11 +73,19 @@ def test_grid_helper_sweeps_product_of_params():
 
 
 def test_jobs_1_and_jobs_4_byte_identical(cache, tmp_path):
+    """Serial and every pooled dispatch agree byte-for-byte."""
     specs = [RunSpec.make(TOY, seed, scale=0.5) for seed in range(8)]
     serial = run_grid(specs, jobs=1, cache=RunCache(root=tmp_path / "a"))
-    fanned = run_grid(specs, jobs=4, cache=RunCache(root=tmp_path / "b"))
-    assert serial.executed == fanned.executed == 8
-    assert json.dumps(serial.metrics()) == json.dumps(fanned.metrics())
+    assert serial.executed == 8
+    assert serial.worker_stats is None
+    pooled_modes = {"jobs4": {"jobs": 4}, "workers2": {"workers": 2},
+                    "deadline": {"jobs": 1, "timeout_s": 30}}
+    for name, kwargs in pooled_modes.items():
+        fanned = run_grid(specs, cache=RunCache(root=tmp_path / name),
+                          **kwargs)
+        assert fanned.executed == 8, name
+        assert fanned.worker_stats is not None, name
+        assert json.dumps(serial.metrics()) == json.dumps(fanned.metrics())
 
 
 def test_session_cell_survives_fanout_and_cache_roundtrip(tmp_path):
@@ -161,3 +173,24 @@ def test_results_keep_spec_order_and_telemetry(cache):
     assert telemetry.executed == 3
     assert telemetry.processed_events == sum(s + 1 for s in (5, 1, 3))
     assert "3 cells" in telemetry.line()
+
+
+def test_cli_runner_flags_build_runner_options():
+    parser = build_parser()
+    args = parser.parse_args(
+        ["table1", "--jobs", "3", "--cell-timeout", "5", "--retries", "2",
+         "--ledger", "F", "--no-cache"])
+    options = runner_options(args)
+    assert options.cache.enabled is False
+    assert replace(options, cache=None) == RunnerOptions(
+        jobs=3, timeout_s=5.0, retries=2, ledger="F")
+    # --jobs is the one parallelism flag: the pool-size flag is gone.
+    subcommands = next(action for action in parser._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    flags = {flag for action in subcommands.choices["table1"]._actions
+             for flag in action.option_strings}
+    assert flags == {"-h", "--help", "-n", "--loads", "--seed", "--style",
+                     "-j", "--jobs", "--no-cache", "--cache-dir",
+                     "--cell-timeout", "--retries", "--ledger"}
+    with pytest.raises(SystemExit):
+        parser.parse_args(["table1", "-w", "2"])
