@@ -26,7 +26,7 @@ import ast
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.lint.findings import Finding
-from repro.lint.rules import _dotted_name
+from repro.lint.project import dotted_name
 
 #: Codes --fix knows how to repair.
 FIXABLE_CODES = frozenset({"DET001", "SIM002", "RES003"})
@@ -92,7 +92,7 @@ def _sim002_edit(source: str, offsets: List[int], tree: ast.Module,
         # The call is part of a larger expression; wrapping the whole
         # statement would change semantics, so leave it to a human.
         return None
-    dotted = _dotted_name(call.func)
+    dotted = dotted_name(call.func)
     if dotted is None:
         return None
     lines = source.splitlines(keepends=True)

@@ -25,6 +25,7 @@ import ast
 from typing import Dict, List, Optional, Set, Tuple
 
 from .cfg import CFG
+from .project import parameters
 
 
 class DataflowProblem:
@@ -233,14 +234,7 @@ def reaching_definitions(cfg: CFG, func_node=None) -> Dict[int, Set[Definition]]
     params: Tuple[str, ...] = ()
     line = 0
     if func_node is not None:
-        args = func_node.args
-        names = [a.arg for a in
-                 (args.posonlyargs + args.args + args.kwonlyargs)]
-        if args.vararg:
-            names.append(args.vararg.arg)
-        if args.kwarg:
-            names.append(args.kwarg.arg)
-        params = tuple(names)
+        params = tuple(a.arg for a in parameters(func_node.args))
         line = func_node.lineno
     return solve(cfg, ReachingDefinitions(params, line))
 

@@ -18,27 +18,17 @@ from __future__ import annotations
 import ast
 import codecs
 import os
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.lint.baseline import Baseline
 from repro.lint.families import (check_dos_paths, check_module_all,
                                  check_taint, check_window_paths)
 from repro.lint.findings import Finding, LintReport
-from repro.lint.project import ModuleInfo, Project, collect_aliases
-from repro.lint.rules import RULES, ModuleContext
+from repro.lint.project import ModuleContext, Project
+from repro.lint.rules import RULES
 from repro.lint.suppressions import (UNKNOWN_CODE, UNUSED_CODE,
                                      apply_suppressions)
 from repro.lint.typestate import check_lifecycles
-
-
-def _project_findings(project, enabled) -> List[Finding]:
-    """The whole-program rules: PROTO001 chains, RES lifecycles, DOS
-    shapes, LEAK taint flows."""
-    findings = list(check_window_paths(project, set(enabled)))
-    findings.extend(check_lifecycles(project, set(enabled)))
-    findings.extend(check_dos_paths(project, set(enabled)))
-    findings.extend(check_taint(project, set(enabled)))
-    return findings
 
 ALL_CODES = tuple(sorted(RULES))
 
@@ -150,19 +140,26 @@ def _parse_files(files: Sequence[str]):
         findings.extend(file_findings)
         if source is None:
             continue
-        try:
-            tree = ast.parse(source, filename=rel)
-        except SyntaxError as exc:
-            findings.append(Finding(
-                path=rel, line=exc.lineno or 1, col=(exc.offset or 1) - 1,
-                code="E999", message=f"syntax error: {exc.msg}"))
-            continue
         module = module_name_for(file_path)
-        contexts.append(ModuleContext(
-            path=rel, module=module,
-            package=_package_of(module, file_path),
-            tree=tree, source=source))
+        parsed = _parse(source, rel, module, _package_of(module, file_path))
+        if isinstance(parsed, Finding):
+            findings.append(parsed)
+        else:
+            contexts.append(parsed)
     return contexts, findings
+
+
+def _parse(source: str, path: str, module: str,
+           package: str) -> Union[ModuleContext, Finding]:
+    """The parsed module, or its ``E999`` syntax-error finding."""
+    try:
+        tree = ast.parse(source, filename=path)
+    except SyntaxError as exc:
+        return Finding(path=path, line=exc.lineno or 1,
+                       col=(exc.offset or 1) - 1, code="E999",
+                       message=f"syntax error: {exc.msg}")
+    return ModuleContext(path=path, module=module, package=package,
+                         tree=tree, source=source)
 
 
 def load_contexts(paths: Sequence[str]) -> List[ModuleContext]:
@@ -176,10 +173,29 @@ def load_contexts(paths: Sequence[str]) -> List[ModuleContext]:
 
 def build_project(contexts: Sequence[ModuleContext]) -> Project:
     """The whole-program model over every successfully parsed module."""
-    return Project([
-        ModuleInfo(module=ctx.module, path=ctx.path, tree=ctx.tree,
-                   aliases=collect_aliases(ctx.tree))
-        for ctx in contexts])
+    return Project(contexts)
+
+
+def _check_contexts(contexts: Sequence[ModuleContext],
+                    enabled: frozenset) -> List[Finding]:
+    """Every enabled rule over the parsed modules -- the per-module
+    families, then the whole-program PROTO001/RES/DOS/LEAK rules --
+    with each file's suppressions applied."""
+    project = build_project(contexts)
+    per_file: Dict[str, List[Finding]] = {
+        ctx.path: check_module_all(ctx, set(enabled), project)
+        for ctx in contexts}
+    for check in (check_window_paths, check_lifecycles, check_dos_paths,
+                  check_taint):
+        for finding in check(project, set(enabled)):
+            per_file.setdefault(finding.path, []).append(finding)
+    findings: List[Finding] = []
+    for ctx in contexts:
+        kept, _ = apply_suppressions(per_file[ctx.path], ctx.source,
+                                     ctx.path, enabled,
+                                     known_codes=KNOWN_CODES)
+        findings.extend(kept)
+    return findings
 
 
 def lint_source(source: str, module_name: str, path: str = "<string>",
@@ -193,23 +209,14 @@ def lint_source(source: str, module_name: str, path: str = "<string>",
     this module).
     """
     enabled = resolve_codes(select, ignore)
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [Finding(path=path, line=exc.lineno or 1,
-                        col=(exc.offset or 1) - 1, code="E999",
-                        message=f"syntax error: {exc.msg}")]
     if package is None:
         package = module_name.rpartition(".")[0]
-    ctx = ModuleContext(path=path, module=module_name, package=package,
-                        tree=tree, source=source)
-    project = build_project([ctx])
-    findings = check_module_all(ctx, set(enabled), project)
-    findings.extend(_project_findings(project, enabled))
-    kept, _ = apply_suppressions(findings, source, path, enabled,
-                                 known_codes=KNOWN_CODES)
-    kept.sort(key=lambda f: f.sort_key())
-    return kept
+    parsed = _parse(source, path, module_name, package)
+    if isinstance(parsed, Finding):
+        return [parsed]
+    findings = _check_contexts([parsed], enabled)
+    findings.sort(key=lambda f: f.sort_key())
+    return findings
 
 
 def lint_paths(paths: Sequence[str],
@@ -228,18 +235,8 @@ def lint_paths(paths: Sequence[str],
     enabled = resolve_codes(select, ignore)
     files = discover_files(paths)
     contexts, findings = _parse_files(files)
-    project = build_project(contexts)
-    per_file: Dict[str, List[Finding]] = {
-        ctx.path: check_module_all(ctx, set(enabled), project)
-        for ctx in contexts}
-    for finding in _project_findings(project, enabled):
-        per_file.setdefault(finding.path, []).append(finding)
+    findings.extend(_check_contexts(contexts, enabled))
     sources = {ctx.path: ctx.source for ctx in contexts}
-    for ctx in contexts:
-        kept, _ = apply_suppressions(per_file[ctx.path], ctx.source,
-                                     ctx.path, enabled,
-                                     known_codes=KNOWN_CODES)
-        findings.extend(kept)
     baselined = stale = pruned = 0
     stale_entries: Tuple[Tuple[str, str, str, int], ...] = ()
     if baseline_path is not None:

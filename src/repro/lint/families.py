@@ -39,18 +39,17 @@ Findings cite the reachability witness (file:line call chain) as their
 from __future__ import annotations
 
 import ast
+from collections import deque
 from typing import List, Optional, Set, Tuple
 
+from repro.lint.cfg import build_cfg, header_walk
+from repro.lint.dataflow import dominators
 from repro.lint.findings import Finding
 from repro.lint.layers import layer_of
-from repro.lint.rules import (
-    DeterminismVisitor,
-    ModuleContext,
-    _dotted_name,
-    _mutable_container,
-    _terminal_name,
-    check_layering,
-)
+from repro.lint.project import (ModuleContext, Project, dotted_name,
+                                parameters, terminal_name)
+from repro.lint.rules import (DeterminismVisitor, check_layering,
+                              mutable_container, simple_bindings)
 from repro.lint.taint import check_taint  # noqa: F401  (family re-export)
 
 #: Harness modules where CACHE rules do not apply: the runner/CLI own
@@ -100,8 +99,8 @@ class FamilyVisitor(DeterminismVisitor):
     """
 
     def __init__(self, ctx: ModuleContext, enabled: Set[str],
-                 project=None):
-        super().__init__(ctx, enabled, project=project)
+                 project: Project):
+        super().__init__(ctx, enabled, project)
         #: Stack of frames of dotted names proven non-None by an
         #: enclosing ``if`` test.
         self._guards: List[Set[str]] = []
@@ -113,21 +112,8 @@ class FamilyVisitor(DeterminismVisitor):
 
     @staticmethod
     def _collect_module_mutables(tree: ast.Module) -> Set[str]:
-        names: Set[str] = set()
-        for stmt in tree.body:
-            if isinstance(stmt, ast.Assign):
-                targets = [t.id for t in stmt.targets
-                           if isinstance(t, ast.Name)]
-                value = stmt.value
-            elif isinstance(stmt, ast.AnnAssign) \
-                    and isinstance(stmt.target, ast.Name) \
-                    and stmt.value is not None:
-                targets, value = [stmt.target.id], stmt.value
-            else:
-                continue
-            if _mutable_container(value)[0]:
-                names.update(targets)
-        return names
+        return {name for _, names, value in simple_bindings(tree.body)
+                if mutable_container(value)[0] for name in names}
 
     # -- reachability lookups -----------------------------------------------
 
@@ -138,7 +124,7 @@ class FamilyVisitor(DeterminismVisitor):
         return (self.ctx.module, qual)
 
     def _event_chain(self) -> Optional[List[str]]:
-        if self.project is None or self._perf_exempt:
+        if self._perf_exempt:
             return None
         key = self._current_key()
         if key is None:
@@ -146,7 +132,7 @@ class FamilyVisitor(DeterminismVisitor):
         return self.project.event_reachable.get(key)
 
     def _cell_chain(self) -> Optional[List[str]]:
-        if self.project is None or self._cache_exempt:
+        if self._cache_exempt:
             return None
         key = self._current_key()
         if key is None:
@@ -175,10 +161,10 @@ class FamilyVisitor(DeterminismVisitor):
                 and isinstance(test.ops[0], ast.IsNot) \
                 and isinstance(test.comparators[0], ast.Constant) \
                 and test.comparators[0].value is None:
-            dotted = _dotted_name(test.left)
+            dotted = dotted_name(test.left)
             return {dotted} if dotted else set()
         if isinstance(test, (ast.Name, ast.Attribute)):
-            dotted = _dotted_name(test)
+            dotted = dotted_name(test)
             return {dotted} if dotted else set()
         return set()
 
@@ -196,7 +182,7 @@ class FamilyVisitor(DeterminismVisitor):
         super().visit_Call(node)
 
     def _check_sim001(self, node: ast.Call) -> None:
-        name = _terminal_name(node.func)
+        name = terminal_name(node.func)
         if name == "schedule" and node.args:
             delay = node.args[0]
             if isinstance(delay, ast.UnaryOp) \
@@ -210,7 +196,7 @@ class FamilyVisitor(DeterminismVisitor):
         elif name == "schedule_at" and node.args:
             when = node.args[0]
             if isinstance(when, ast.BinOp) and isinstance(when.op, ast.Sub):
-                left = _dotted_name(when.left)
+                left = dotted_name(when.left)
                 if left is not None and (left == "now"
                                          or left.endswith(".now")):
                     self._emit(node, "SIM001",
@@ -222,7 +208,7 @@ class FamilyVisitor(DeterminismVisitor):
         if not isinstance(node.func, ast.Attribute) \
                 or node.func.attr not in ("probe", "frame_probe"):
             return
-        dotted = _dotted_name(node.func)
+        dotted = dotted_name(node.func)
         if dotted is None or self._is_guarded(dotted):
             return
         self._emit(node, "SIM002",
@@ -381,7 +367,7 @@ class FamilyVisitor(DeterminismVisitor):
                         and node.value.value is True:
                     return "a reset=True transition"
                 if target.attr == "state":
-                    name = _terminal_name(node.value)
+                    name = terminal_name(node.value)
                     if name in _CLOSING_STATE_NAMES or (
                             isinstance(node.value, ast.Constant)
                             and node.value.value == "closed"):
@@ -392,13 +378,13 @@ class FamilyVisitor(DeterminismVisitor):
     def _frame_emission(node: ast.AST) -> str:
         if not isinstance(node, ast.Call):
             return ""
-        name = _terminal_name(node.func)
+        name = terminal_name(node.func)
         if name == "send_data_frame":
             return "send_data_frame()"
         if name in ("send_frame", "_send_frame") and node.args:
             arg = node.args[0]
             if isinstance(arg, ast.Call):
-                ctor = _terminal_name(arg.func)
+                ctor = terminal_name(arg.func)
                 if ctor in _DATA_FRAMES:
                     return f"send_frame({ctor})"
         return ""
@@ -406,41 +392,35 @@ class FamilyVisitor(DeterminismVisitor):
 
 # -- PROTO001: window decrement domination, whole program -------------------
 
+#: The flow-control window checks PROTO001 looks for.
+_CHECK_NAMES = ("can_send", "can_send_data")
+
 
 def _window_consume_sites(project):
     """(FuncKey, Call) pairs where a flow-control window is consumed."""
     for key, fn in project.functions.items():
-        for node in project._own_nodes(fn.node):
+        for node in fn.nodes:
             if isinstance(node, ast.Call) \
                     and isinstance(node.func, ast.Attribute) \
                     and node.func.attr == "consume":
-                recv = _dotted_name(node.func.value)
+                recv = dotted_name(node.func.value)
                 if recv and "window" in recv.lower():
                     yield key, node
 
 
-def _checking_functions(project) -> Set:
+def _checking_functions(project: Project) -> Set:
     """Functions that perform a window check, directly or via callees."""
-    checked: Set = set()
-    for key, fn in project.functions.items():
-        for node in project._own_nodes(fn.node):
-            if isinstance(node, ast.Call) \
-                    and _terminal_name(node.func) in ("can_send",
-                                                      "can_send_data"):
-                checked.add(key)
-                break
-    changed = True
-    while changed:
-        changed = False
-        for key, fn in project.functions.items():
-            if key in checked:
-                continue
-            for candidates, _ in fn.calls:
-                if any(callee in checked for callee in candidates):
-                    checked.add(key)
-                    changed = True
-                    break
-    return checked
+    seeds = {key: True for key, fn in project.functions.items()
+             if any(isinstance(node, ast.Call)
+                    and terminal_name(node.func) in _CHECK_NAMES
+                    for node in fn.nodes)}
+
+    def calls_a_check(key, facts) -> Optional[bool]:
+        return any(callee in facts
+                   for candidates, _ in project.functions[key].calls
+                   for callee in candidates) or None
+
+    return set(project.propagate(seeds, calls_a_check))
 
 
 class _CheckedRegion:
@@ -460,19 +440,15 @@ class _CheckedRegion:
       dominates.
     """
 
-    def __init__(self, project, fn, checking: Set):
-        from repro.lint.cfg import build_cfg, header_walk as _header_walk
-        from repro.lint.dataflow import dominators
-
+    def __init__(self, project: Project, fn, checking: Set):
         self.lines: Set[int] = set()
         cfg = build_cfg(fn.node)
         dom = dominators(cfg)
-        info = project.modules[fn.module]
 
         block_lines: dict = {}
         for bid, block in cfg.blocks.items():
             for stmt in block.statements:
-                for node in _header_walk(stmt):
+                for node in header_walk(stmt):
                     line = getattr(node, "lineno", None)
                     if line is not None:
                         block_lines.setdefault(bid, set()).add(line)
@@ -480,9 +456,9 @@ class _CheckedRegion:
         def is_check_call(node: ast.AST) -> bool:
             if not isinstance(node, ast.Call):
                 return False
-            if _terminal_name(node.func) in ("can_send", "can_send_data"):
+            if terminal_name(node.func) in _CHECK_NAMES:
                 return True
-            candidates = project._resolve_callable_ref(node.func, info, fn)
+            candidates = project.resolve(node.func, fn)
             return bool(candidates) and all(c in checking
                                             for c in candidates)
 
@@ -521,13 +497,14 @@ class _CheckedRegion:
         return lineno in self.lines
 
 
-def check_window_paths(project, enabled: Set[str]) -> List[Finding]:
+def check_window_paths(project: Project,
+                       enabled: Set[str]) -> List[Finding]:
     """PROTO001: a window ``consume()`` must be *dominated* by a
     ``can_send``/``can_send_data`` check -- true CFG dominance inside
     the function, composed with caller-chain pruning (a caller whose
     call site sits inside its own checked region covers that chain;
     depth 6), mirroring the H2_WINDOW_NEGATIVE runtime law."""
-    if project is None or "PROTO001" not in enabled:
+    if "PROTO001" not in enabled:
         return []
     checking = _checking_functions(project)
     regions: dict = {}
@@ -548,10 +525,10 @@ def check_window_paths(project, enabled: Set[str]) -> List[Finding]:
         # on the path to this call site).  A caller whose call site sits
         # inside its checked region dominates that chain and is pruned.
         parents = {key: None}
-        frontier = [(key, 0)]
+        frontier = deque([(key, 0)])
         witness = None
         while frontier and witness is None:
-            current, depth = frontier.pop(0)
+            current, depth = frontier.popleft()
             callers = project.reverse_calls.get(current, [])
             if not callers:
                 # Unchecked entry point (seed, public API, or the
@@ -634,7 +611,7 @@ def _has_len_guard(fn_node) -> bool:
         if isinstance(node, ast.Compare):
             for side in [node.left] + list(node.comparators):
                 if isinstance(side, ast.Call) \
-                        and _terminal_name(side.func) == "len":
+                        and terminal_name(side.func) == "len":
                     return True
     return False
 
@@ -642,13 +619,7 @@ def _has_len_guard(fn_node) -> bool:
 def _tainted_names(fn_node) -> Set[str]:
     """Parameters plus locals assigned from tainted expressions
     (fixpoint, so statement order does not matter)."""
-    args = fn_node.args
-    tainted = {a.arg for a in (args.posonlyargs + args.args
-                               + args.kwonlyargs)} - {"self"}
-    if args.vararg:
-        tainted.add(args.vararg.arg)
-    if args.kwarg:
-        tainted.add(args.kwarg.arg)
+    tainted = {a.arg for a in parameters(fn_node.args)} - {"self"}
     assigns = [node for node in ast.walk(fn_node)
                if isinstance(node, ast.Assign)]
     changed = True
@@ -667,7 +638,7 @@ def _tainted_names(fn_node) -> Set[str]:
     return tainted
 
 
-def check_dos_paths(project, enabled: Set[str]) -> List[Finding]:
+def check_dos_paths(project: Project, enabled: Set[str]) -> List[Finding]:
     """DOS001/DOS002: slow-DoS shapes on peer-reachable paths.
 
     DOS001 flags a ``while`` loop around a receive-style call inside
@@ -678,25 +649,23 @@ def check_dos_paths(project, enabled: Set[str]) -> List[Finding]:
     in the function -- the unbounded-queue memory shape.
     """
     findings: List[Finding] = []
-    if project is None:
-        return findings
     if "DOS001" in enabled:
         for key in sorted(project.dispatch_reachable):
             fn = project.functions[key]
-            for node in project._own_nodes(fn.node):
+            for node in fn.nodes:
                 if not isinstance(node, ast.While):
                     continue
                 recv_calls = [
                     c for c in ast.walk(node)
                     if isinstance(c, ast.Call)
-                    and (_terminal_name(c.func) or "").startswith(
+                    and (terminal_name(c.func) or "").startswith(
                         _RECV_NAME_PREFIXES)]
                 if not recv_calls or _has_token(node, _DOS_GUARD_TOKENS):
                     continue
                 recv = recv_calls[0]
                 trace = tuple(project.dispatch_reachable[key]) + (
                     f"{fn.path}:{recv.lineno}: the loop body calls "
-                    f"{_terminal_name(recv.func)}() with no "
+                    f"{terminal_name(recv.func)}() with no "
                     "timeout/deadline in scope",)
                 findings.append(Finding(
                     path=fn.path, line=node.lineno, col=node.col_offset,
@@ -717,12 +686,12 @@ def check_dos_paths(project, enabled: Set[str]) -> List[Finding]:
             tainted = _tainted_names(fn.node)
             if not tainted:
                 continue
-            for node in project._own_nodes(fn.node):
+            for node in fn.nodes:
                 if not (isinstance(node, ast.Call)
                         and isinstance(node.func, ast.Attribute)
                         and node.func.attr in ("append", "appendleft")):
                     continue
-                recv = _dotted_name(node.func.value)
+                recv = dotted_name(node.func.value)
                 if not recv or not recv.startswith("self."):
                     continue
                 feeds = any(isinstance(n, ast.Name) and n.id in tainted
@@ -746,12 +715,12 @@ def check_dos_paths(project, enabled: Set[str]) -> List[Finding]:
 
 
 def check_module_all(ctx: ModuleContext, enabled: Set[str],
-                     project=None) -> List[Finding]:
+                     project: Project) -> List[Finding]:
     """Run DET + SIM/CACHE/PROTO002/PERF over one module (PROTO001,
     RES, and DOS are project-level; see :func:`check_window_paths`,
     :func:`repro.lint.typestate.check_lifecycles`, and
     :func:`check_dos_paths`)."""
-    visitor = FamilyVisitor(ctx, enabled, project=project)
+    visitor = FamilyVisitor(ctx, enabled, project)
     visitor.visit(ctx.tree)
     findings = visitor.findings + check_layering(ctx, enabled)
     findings.sort(key=lambda f: f.sort_key())

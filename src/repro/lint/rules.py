@@ -7,23 +7,26 @@ fires when the pattern is structurally recognizable, and every firing
 is expected to be either fixed or suppressed with a justification
 comment (see docs/LINTING.md).
 
-The DET rules are intraprocedural except where the whole-program
-:class:`repro.lint.project.Project` is supplied: then DET001 also
-recognizes calls to set-returning helpers anywhere in the project, and
-the finding carries the escape path (file:line hops) from the set's
-origin to the order-sensitive consumer.  The SIM/CACHE/PROTO/PERF
-families (registered here so ``--select``/``--ignore`` know them) live
-in :mod:`repro.lint.families`.
+Every checker takes the whole-program
+:class:`repro.lint.project.Project`, which also supplies the shared AST
+helpers and each module's import aliases.  Through it DET001 recognizes
+calls to set-returning helpers anywhere in the project, and the finding
+carries the escape path (file:line hops) from the set's origin to the
+order-sensitive consumer.  The SIM/CACHE/PROTO/PERF families
+(registered here so ``--select``/``--ignore`` know them) live in
+:mod:`repro.lint.families`.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.lint.findings import Finding
 from repro.lint.layers import layer_of, resolve_relative
+from repro.lint.project import (ModuleContext, Project, dotted_name,
+                                is_set_annotation, parameters,
+                                terminal_name)
 
 #: code -> one-line description (the rule catalogue; mirrored in
 #: docs/LINTING.md).
@@ -155,61 +158,11 @@ _TIMELIKE_EXACT = frozenset({"now", "when", "time", "deadline"})
 _TIMELIKE_SUFFIXES = ("_time", "_at", "_when", "_deadline")
 
 
-@dataclass
-class ModuleContext:
-    """Everything the rules need to know about one module."""
-
-    path: str
-    module: str          # dotted name, e.g. "repro.simnet.engine"
-    package: str         # containing package ("" outside any package)
-    tree: ast.Module
-    source: str
-
-
-def _terminal_name(node: ast.AST) -> Optional[str]:
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
-
-
-def _dotted_name(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for a pure Name/Attribute chain, else None."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
-
-
-def _is_set_annotation(node: Optional[ast.AST]) -> bool:
-    if node is None:
-        return False
-    if isinstance(node, ast.Name):
-        return node.id in ("set", "frozenset")
-    if isinstance(node, ast.Subscript):
-        name = _terminal_name(node.value)
-        return name in ("Set", "FrozenSet", "AbstractSet", "MutableSet",
-                        "set", "frozenset")
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        text = node.value.strip()
-        return (text in ("set", "frozenset")
-                or text.startswith(("Set[", "FrozenSet[", "set[",
-                                    "frozenset[")))
-    return False
-
-
 def _is_list_annotation(node: Optional[ast.AST]) -> bool:
-    if node is None:
-        return False
     if isinstance(node, ast.Name):
         return node.id == "list"
     if isinstance(node, ast.Subscript):
-        name = _terminal_name(node.value)
+        name = terminal_name(node.value)
         return name in ("List", "MutableSequence", "list")
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         text = node.value.strip()
@@ -217,7 +170,7 @@ def _is_list_annotation(node: Optional[ast.AST]) -> bool:
     return False
 
 
-def _mutable_container(node: ast.AST):
+def mutable_container(node: ast.AST):
     """(is_mutable, is_empty) for container displays/constructors."""
     if isinstance(node, ast.List):
         return True, not node.elts
@@ -226,10 +179,23 @@ def _mutable_container(node: ast.AST):
     if isinstance(node, ast.Set):
         return True, False
     if isinstance(node, ast.Call):
-        name = _terminal_name(node.func)
+        name = terminal_name(node.func)
         if name in _MUTABLE_CALLS:
             return True, not (node.args or node.keywords)
     return False, False
+
+
+def simple_bindings(body):
+    """``(statement, bound names, value)`` for each ``name = value`` /
+    ``name: T = value`` statement directly in ``body``."""
+    for stmt in body:
+        if isinstance(stmt, ast.Assign):
+            yield stmt, [t.id for t in stmt.targets
+                         if isinstance(t, ast.Name)], stmt.value
+        elif isinstance(stmt, ast.AnnAssign) \
+                and isinstance(stmt.target, ast.Name) \
+                and stmt.value is not None:
+            yield stmt, [stmt.target.id], stmt.value
 
 
 class _Scope:
@@ -248,19 +214,18 @@ class _Scope:
 class DeterminismVisitor(ast.NodeVisitor):
     """Single-pass checker for DET001/002/003/005/006.
 
-    With a whole-program ``project``, DET001 additionally treats calls
-    to set-returning helpers (anywhere in the project) as set-typed and
-    threads the provenance chain into the finding's ``trace``.
+    DET001 also treats calls to set-returning helpers (anywhere in the
+    ``project``) as set-typed and threads the provenance chain into the
+    finding's ``trace``.
     """
 
     def __init__(self, ctx: ModuleContext, enabled: Set[str],
-                 project=None):
+                 project: Project):
         self.ctx = ctx
         self.enabled = enabled
         self.project = project
         self.findings: List[Finding] = []
         self.scopes: List[_Scope] = []
-        self._aliases = self._collect_aliases(ctx.tree)
         self._genexp_ok: Set[int] = set()
         self._func_depth = 0
         #: qualname stack mirroring Project's naming ("Cls.m",
@@ -290,31 +255,12 @@ class DeterminismVisitor(ast.NodeVisitor):
             return f"{qual}.{name}"
         return f"{qual}.<locals>.{name}"
 
-    @staticmethod
-    def _collect_aliases(tree: ast.Module) -> Dict[str, str]:
-        """local name -> dotted origin, from every import in the module."""
-        aliases: Dict[str, str] = {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.asname:
-                        aliases[alias.asname] = alias.name
-                    else:
-                        root = alias.name.split(".")[0]
-                        aliases[root] = root
-            elif isinstance(node, ast.ImportFrom) and node.level == 0 \
-                    and node.module:
-                for alias in node.names:
-                    local = alias.asname or alias.name
-                    aliases[local] = f"{node.module}.{alias.name}"
-        return aliases
-
     def _resolve(self, node: ast.AST) -> Optional[str]:
-        dotted = _dotted_name(node)
+        dotted = dotted_name(node)
         if dotted is None:
             return None
         head, _, rest = dotted.partition(".")
-        origin = self._aliases.get(head)
+        origin = self.ctx.aliases.get(head)
         if origin is None:
             return dotted
         return f"{origin}.{rest}" if rest else origin
@@ -335,8 +281,8 @@ class DeterminismVisitor(ast.NodeVisitor):
         self._qual.append((self._child_qualname(node.name, "function"),
                            "function"))
         scope = _Scope("function")
-        for arg in self._all_args(node.args):
-            if _is_set_annotation(arg.annotation):
+        for arg in parameters(node.args):
+            if is_set_annotation(arg.annotation):
                 scope.set_names.add(arg.arg)
             elif _is_list_annotation(arg.annotation):
                 scope.list_names.add(arg.arg)
@@ -344,7 +290,6 @@ class DeterminismVisitor(ast.NodeVisitor):
         self._infer_list_bindings(node.body, scope)
         self.scopes.append(scope)
         self._func_depth += 1
-        self._enter_function(node)
         self.generic_visit(node)
         self._leave_function(node)
         self._func_depth -= 1
@@ -353,9 +298,6 @@ class DeterminismVisitor(ast.NodeVisitor):
 
     visit_FunctionDef = _visit_function
     visit_AsyncFunctionDef = _visit_function
-
-    def _enter_function(self, node) -> None:
-        """Hook for subclasses (family rules)."""
 
     def _leave_function(self, node) -> None:
         """Hook for subclasses (family rules)."""
@@ -375,15 +317,6 @@ class DeterminismVisitor(ast.NodeVisitor):
         self.scopes.pop()
         self._qual.pop()
 
-    @staticmethod
-    def _all_args(args: ast.arguments):
-        every = list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
-        if args.vararg:
-            every.append(args.vararg)
-        if args.kwarg:
-            every.append(args.kwarg)
-        return every
-
     def _infer_set_bindings(self, body, scope: _Scope) -> None:
         """Names assigned set-typed values anywhere in this scope's body
         (in source order, without descending into nested scopes)."""
@@ -397,7 +330,7 @@ class DeterminismVisitor(ast.NodeVisitor):
                                                 stmt.value, stmt.lineno)
             elif isinstance(stmt, ast.AnnAssign):
                 if isinstance(stmt.target, ast.Name) and (
-                        _is_set_annotation(stmt.annotation)
+                        is_set_annotation(stmt.annotation)
                         or (stmt.value is not None
                             and self._is_set_expr(stmt.value, scope))):
                     scope.set_names.add(stmt.target.id)
@@ -459,7 +392,7 @@ class DeterminismVisitor(ast.NodeVisitor):
                 if (isinstance(target, ast.Attribute)
                         and isinstance(target.value, ast.Name)
                         and target.value.id == "self"):
-                    if _is_set_annotation(child.annotation):
+                    if is_set_annotation(child.annotation):
                         scope.set_self_attrs.add(target.attr)
                     elif _is_list_annotation(child.annotation):
                         scope.list_self_attrs.add(target.attr)
@@ -470,7 +403,7 @@ class DeterminismVisitor(ast.NodeVisitor):
         if isinstance(node, (ast.Set, ast.SetComp)):
             return True
         if isinstance(node, ast.Call):
-            name = _terminal_name(node.func)
+            name = terminal_name(node.func)
             if isinstance(node.func, ast.Name) and name in ("set",
                                                             "frozenset"):
                 return True
@@ -478,12 +411,11 @@ class DeterminismVisitor(ast.NodeVisitor):
                     and name in _SET_METHODS
                     and self._is_set_expr(node.func.value, scope)):
                 return True
-            if self.project is not None:
-                chain = self.project.set_call_chain(
-                    node, self.ctx.module, self._current_qualname())
-                if chain:
-                    self._call_traces[id(node)] = chain
-                    return True
+            chain = self.project.set_call_chain(
+                node, self.ctx.module, self._current_qualname())
+            if chain:
+                self._call_traces[id(node)] = chain
+                return True
             return False
         if isinstance(node, ast.BinOp) and isinstance(node.op, _SET_BINOPS):
             return (self._is_set_expr(node.left, scope)
@@ -508,7 +440,7 @@ class DeterminismVisitor(ast.NodeVisitor):
         if isinstance(node, (ast.List, ast.ListComp)):
             return True
         if isinstance(node, ast.Call):
-            name = _terminal_name(node.func)
+            name = terminal_name(node.func)
             return isinstance(node.func, ast.Name) and name in ("list",
                                                                 "sorted")
         if isinstance(node, ast.Name):
@@ -573,7 +505,7 @@ class DeterminismVisitor(ast.NodeVisitor):
     # -- calls: DET001 consumers, DET002, DET003 ---------------------------
 
     def visit_Call(self, node: ast.Call) -> None:
-        func_name = _terminal_name(node.func)
+        func_name = terminal_name(node.func)
         if isinstance(node.func, ast.Name) \
                 and func_name in _ORDER_INSENSITIVE:
             for arg in node.args:
@@ -654,45 +586,24 @@ class DeterminismVisitor(ast.NodeVisitor):
     # -- DET005 -------------------------------------------------------------
 
     def _check_module_level_state(self, node: ast.Module) -> None:
-        for stmt in node.body:
-            targets = []
-            if isinstance(stmt, ast.Assign):
-                targets = [t for t in stmt.targets if isinstance(t, ast.Name)]
-                value = stmt.value
-            elif isinstance(stmt, ast.AnnAssign) \
-                    and isinstance(stmt.target, ast.Name) \
-                    and stmt.value is not None:
-                targets = [stmt.target]
-                value = stmt.value
-            else:
-                continue
-            mutable, empty = _mutable_container(value)
+        for stmt, names, value in simple_bindings(node.body):
+            mutable, empty = mutable_container(value)
             if not mutable:
                 continue
-            for target in targets:
-                if target.id.startswith("__") and target.id.endswith("__"):
+            for name in names:
+                if name.startswith("__") and name.endswith("__"):
                     continue  # __all__ and friends are interpreter protocol
-                is_const_table = target.id.isupper() and not empty
+                is_const_table = name.isupper() and not empty
                 if not is_const_table:
                     self._emit(stmt, "DET005",
                                f"module-level mutable container "
-                               f"'{target.id}' is state shared across "
+                               f"'{name}' is state shared across "
                                "runs; build it per-run or make it an "
                                "immutable constant")
 
     def _check_class_level_state(self, node: ast.ClassDef) -> None:
-        for stmt in node.body:
-            if isinstance(stmt, ast.Assign):
-                value, names = stmt.value, [
-                    t.id for t in stmt.targets if isinstance(t, ast.Name)]
-            elif isinstance(stmt, ast.AnnAssign) \
-                    and isinstance(stmt.target, ast.Name) \
-                    and stmt.value is not None:
-                value, names = stmt.value, [stmt.target.id]
-            else:
-                continue
-            mutable, _ = _mutable_container(value)
-            if mutable and names:
+        for stmt, names, value in simple_bindings(node.body):
+            if names and mutable_container(value)[0]:
                 self._emit(stmt, "DET005",
                            f"class-level mutable container "
                            f"'{names[0]}' is shared across every "
@@ -703,7 +614,7 @@ class DeterminismVisitor(ast.NodeVisitor):
         defaults = list(node.args.defaults) + [
             d for d in node.args.kw_defaults if d is not None]
         for default in defaults:
-            mutable, _ = _mutable_container(default)
+            mutable, _ = mutable_container(default)
             if mutable:
                 self._emit(default, "DET005",
                            "mutable default argument is shared across "
@@ -717,7 +628,7 @@ class DeterminismVisitor(ast.NodeVisitor):
             if not any(isinstance(o, ast.Constant) and o.value is None
                        for o in operands):
                 for operand in operands:
-                    name = _terminal_name(operand)
+                    name = terminal_name(operand)
                     if name is not None and self._timelike(name):
                         self._emit(node, "DET006",
                                    f"==/!= on simulated-time value "
@@ -766,14 +677,4 @@ def check_layering(ctx: ModuleContext, enabled: Set[str]) -> List[Finding]:
                              f"not import layer '{target_layer}' "
                              f"({target}); see the layer map in "
                              "docs/ARCHITECTURE.md")))
-    return findings
-
-
-def check_module(ctx: ModuleContext, enabled: Set[str],
-                 project=None) -> List[Finding]:
-    """Run every enabled DET rule over one parsed module."""
-    visitor = DeterminismVisitor(ctx, enabled, project=project)
-    visitor.visit(ctx.tree)
-    findings = visitor.findings + check_layering(ctx, enabled)
-    findings.sort(key=lambda f: f.sort_key())
     return findings

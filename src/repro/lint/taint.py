@@ -46,7 +46,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.cfg import build_cfg
 from repro.lint.findings import Finding
-from repro.lint.rules import _dotted_name, _terminal_name
+from repro.lint.project import (Project, dotted_name, parameters,
+                                terminal_name)
 
 
 @dataclass(frozen=True)
@@ -281,13 +282,7 @@ class _FunctionTaint:
     # -- seeding ------------------------------------------------------------
 
     def _seed_parameters(self) -> None:
-        args = self.fn.node.args
-        params = list(args.posonlyargs) + list(args.args) \
-            + list(args.kwonlyargs)
-        for extra in (args.vararg, args.kwarg):
-            if extra is not None:
-                params.append(extra)
-        for param in params:
+        for param in parameters(self.fn.node.args):
             if param.arg in ("self", "cls"):
                 continue
             names = _annotation_names(param.annotation)
@@ -338,7 +333,7 @@ class _FunctionTaint:
     # -- expression taint ---------------------------------------------------
 
     def _call_taint(self, node: ast.Call) -> Optional[_Flow]:
-        terminal = _terminal_name(node.func)
+        terminal = terminal_name(node.func)
         if terminal in self.spec.sanitizers:
             return None
         line = node.lineno
@@ -348,8 +343,7 @@ class _FunctionTaint:
             base = self._expr_taint(node.func.value)
             if base is not None:
                 return base
-        candidates = self.project._resolve_callable_ref(
-            node.func, self.info, self.fn)
+        candidates = self.project.resolve(node.func, self.fn)
         if len(candidates) == 1:
             summary = self.summaries.get(candidates[0])
             callee = self.project.functions[candidates[0]]
@@ -403,8 +397,8 @@ class _FunctionTaint:
 
     def _match_args(self, node: ast.Call, callee):
         """(param name, argument expression) pairs for a call site."""
-        args = callee.node.args
-        params = [a.arg for a in (list(args.posonlyargs) + list(args.args))]
+        params = [a.arg for a in parameters(callee.node.args, kwonly=False,
+                                            variadic=False)]
         if params and params[0] in ("self", "cls") \
                 and isinstance(node.func, ast.Attribute):
             params = params[1:]
@@ -417,7 +411,7 @@ class _FunctionTaint:
     def _imported_producer(self, func: ast.AST) -> Optional[Tuple[str, str]]:
         """``(name, source module)`` when the callable is imported from
         a source module (ALL_CAPS constants are not producers)."""
-        dotted = _dotted_name(func)
+        dotted = dotted_name(func)
         if dotted is None:
             return None
         head = dotted.split(".")[0]
@@ -445,7 +439,7 @@ class _FunctionTaint:
                        f"{self.spec.source_label} attribute "
                        f"'.{node.attr}'")
                 return _Flow("", (hop,), node)
-            dotted = _dotted_name(node)
+            dotted = dotted_name(node)
             if dotted is not None:
                 return self._lookup(dotted)
             return self._expr_taint(node.value)
@@ -497,7 +491,7 @@ class _FunctionTaint:
         if isinstance(target, ast.Name):
             return [target.id]
         if isinstance(target, ast.Attribute):
-            dotted = _dotted_name(target)
+            dotted = dotted_name(target)
             return [dotted] if dotted else []
         if isinstance(target, (ast.Tuple, ast.List)):
             cells: List[str] = []
@@ -509,10 +503,9 @@ class _FunctionTaint:
         return []
 
     def solve(self) -> None:
-        nodes = [n for n in self.project._own_nodes(self.fn.node)]
         for _ in range(_MAX_SUMMARY_ROUNDS):
             changed = False
-            for node in nodes:
+            for node in self.fn.nodes:
                 changed |= self._bind_stmt(node)
             if not changed:
                 return
@@ -532,7 +525,7 @@ class _FunctionTaint:
                            f"flows into {cell}")
                     changed |= self._bind(cell, flow.extend(hop))
                 if isinstance(target, ast.Subscript):
-                    dotted = _dotted_name(target.value)
+                    dotted = dotted_name(target.value)
                     if dotted is not None:
                         hop = (f"{self.fn.path}:{node.lineno}: tainted "
                                f"value stored into {dotted}[...]")
@@ -556,7 +549,7 @@ class _FunctionTaint:
     def report(self) -> None:
         in_sink_module = _module_matches(self.fn.module,
                                          self.spec.sink_modules)
-        for node in self.project._own_nodes(self.fn.node):
+        for node in self.fn.nodes:
             if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
                 self._report_store(node, in_sink_module)
             elif isinstance(node, ast.Return) and node.value is not None:
@@ -567,11 +560,11 @@ class _FunctionTaint:
     def _state_target(self, target: ast.AST) -> Optional[str]:
         """The instance-state cell a store mutates, or None."""
         if isinstance(target, ast.Attribute):
-            dotted = _dotted_name(target)
+            dotted = dotted_name(target)
             if dotted and dotted.startswith("self."):
                 return dotted
         if isinstance(target, ast.Subscript):
-            dotted = _dotted_name(target.value)
+            dotted = dotted_name(target.value)
             if dotted and dotted.startswith("self."):
                 return f"{dotted}[...]"
         return None
@@ -617,7 +610,7 @@ class _FunctionTaint:
         # self.<container>.append(tainted) and friends are stores.
         if isinstance(node.func, ast.Attribute) \
                 and node.func.attr in _CONTAINER_STORES:
-            receiver = _dotted_name(node.func.value)
+            receiver = dotted_name(node.func.value)
             if receiver and receiver.startswith("self."):
                 flow = self._first_taint(
                     list(node.args) + [kw.value for kw in node.keywords])
@@ -627,8 +620,7 @@ class _FunctionTaint:
                     return
         # Interprocedural: a tainted argument reaching a callee that
         # stores its parameter into instance state.
-        candidates = self.project._resolve_callable_ref(
-            node.func, self.info, self.fn)
+        candidates = self.project.resolve(node.func, self.fn)
         if len(candidates) != 1:
             return
         summary = self.summaries.get(candidates[0])
@@ -842,14 +834,14 @@ def _import_findings(project, spec: BoundarySpec) -> List[Finding]:
 # -- LEAK003: passive taps must not mutate ----------------------------------
 
 
-def _owned_locals(project, fn, own_types: Set[str]) -> Set[str]:
+def _owned_locals(fn, own_types: Set[str]) -> Set[str]:
     """Names bound to objects the tap itself owns: values it created
     (constructor calls, fresh literals) and parameters annotated with a
     record type the tap module defines (its own bookkeeping, e.g. the
     DoS detector's ``_ConnTrack``).  Mutating those is bookkeeping, not
     a mutation of the observed system."""
     owned: Set[str] = set()
-    for node in project._own_nodes(fn.node):
+    for node in fn.nodes:
         if not isinstance(node, ast.Assign):
             continue
         if isinstance(node.value, (ast.Call, ast.List, ast.Dict, ast.Set,
@@ -858,9 +850,7 @@ def _owned_locals(project, fn, own_types: Set[str]) -> Set[str]:
             for target in node.targets:
                 if isinstance(target, ast.Name):
                     owned.add(target.id)
-    args = fn.node.args
-    for param in (list(args.posonlyargs) + list(args.args)
-                  + list(args.kwonlyargs)):
+    for param in parameters(fn.node.args, variadic=False):
         if _annotation_names(param.annotation) & own_types:
             owned.add(param.arg)
     return owned
@@ -873,7 +863,7 @@ def _foreign_root(dotted: Optional[str], owned: Set[str]) -> bool:
     return root != "self" and root not in owned
 
 
-def _check_tap_passivity(project) -> List[Finding]:
+def _check_tap_passivity(project: Project) -> List[Finding]:
     findings: List[Finding] = []
     keys = sorted(key for key, fn in project.functions.items()
                   if _module_matches(fn.module, TAP_MODULES))
@@ -885,9 +875,9 @@ def _check_tap_passivity(project) -> List[Finding]:
             own_types[fn.module] = {
                 node.name for node in ast.walk(tree)
                 if isinstance(node, ast.ClassDef)}
-        owned = _owned_locals(project, fn, own_types[fn.module])
+        owned = _owned_locals(fn, own_types[fn.module])
         trace = tuple(project.event_reachable.get(key, ()))
-        for node in project._own_nodes(fn.node):
+        for node in fn.nodes:
             if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) \
                     else [node.target]
@@ -903,7 +893,7 @@ def _check_tap_passivity(project) -> List[Finding]:
                     if finding is not None:
                         findings.append(finding)
             elif isinstance(node, ast.Call):
-                terminal = _terminal_name(node.func)
+                terminal = terminal_name(node.func)
                 if terminal in TAP_MUTATOR_CALLS:
                     findings.append(Finding(
                         path=fn.path, line=node.lineno,
@@ -925,7 +915,7 @@ def _tap_store_finding(fn, node, target: ast.AST, owned: Set[str],
                 and (target.value.id == "self"
                      or target.value.id in owned):
             return None
-        dotted = _dotted_name(target) or f"<expr>.{target.attr}"
+        dotted = dotted_name(target) or f"<expr>.{target.attr}"
         verb = "deletes" if deleting else "assigns"
         return Finding(
             path=fn.path, line=node.lineno, col=node.col_offset,
@@ -935,7 +925,7 @@ def _tap_store_finding(fn, node, target: ast.AST, owned: Set[str],
                      "only observe"),
             trace=trace, law="TAP_PASSIVITY")
     if isinstance(target, ast.Subscript):
-        dotted = _dotted_name(target.value)
+        dotted = dotted_name(target.value)
         if not _foreign_root(dotted, owned):
             return None
         if dotted is None:
@@ -951,14 +941,12 @@ def _tap_store_finding(fn, node, target: ast.AST, owned: Set[str],
     return None
 
 
-def check_taint(project, enabled: Set[str]) -> List[Finding]:
+def check_taint(project: Project, enabled: Set[str]) -> List[Finding]:
     """The LEAK family: interprocedural information-boundary taint
     pass (LEAK001/LEAK002) plus the tap-passivity effect check
     (LEAK003).  See docs/LINTING.md for the source/sink/sanitizer
     tables."""
     findings: List[Finding] = []
-    if project is None:
-        return findings
     for spec in LEAK_SPECS:
         if spec.code in enabled:
             findings.extend(_run_flow_spec(project, spec))

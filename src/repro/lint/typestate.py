@@ -40,10 +40,11 @@ resource that escapes the function (returned, stored on an object,
 passed to an unknown callee) is treated as transferred and skipped.
 
 Interprocedural release: a helper that releases one of its parameters
-(directly or by forwarding to another releasing helper -- a fixpoint
-over the project call graph, same shape as the set-returning summary)
-counts as a release site at its call sites, so ``self._teardown(s)``
-on one branch does not silence a leak on the other.
+(directly or by forwarding to another releasing helper -- a
+:meth:`repro.lint.project.Project.propagate` summary, like the
+set-returning one) counts as a release site at its call sites, so
+``self._teardown(s)`` on one branch does not silence a leak on the
+other.
 
 Evidence: each finding's trace is the concrete branch sequence from
 the acquire to the leaking exit (``via file:line: branch ... is taken``
@@ -53,13 +54,14 @@ hops), rendered from the CFG edge path.
 from __future__ import annotations
 
 import ast
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.lint.cfg import (CFG, Edge, build_cfg, header_nodes,
-                            header_walk, may_raise)
+from repro.lint.cfg import CFG, Edge, build_cfg, header_walk, may_raise
 from repro.lint.findings import Finding
-from repro.lint.rules import _dotted_name
+from repro.lint.project import (FuncKey, Project, dotted_name, parameters,
+                                terminal_name)
 
 #: Terminal call names that bind a fresh stream-like resource.
 _STREAM_OPEN_NAMES = frozenset({
@@ -138,41 +140,28 @@ class _Acquire:
     col: int
 
 
-def _terminal(func: ast.AST) -> Optional[str]:
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return None
-
-
-# Canonical header helpers live next to the CFG builder.
-_header_nodes = header_nodes
-_header_walk = header_walk
-
-
 def _mentions_name(stmt: ast.stmt, name: str) -> bool:
     return any(isinstance(n, ast.Name) and n.id == name
-               for n in _header_walk(stmt))
+               for n in header_walk(stmt))
 
 
 # -- interprocedural release summary ----------------------------------------
 
-def releasing_params(project) -> Dict[Tuple[str, str], Set[int]]:
-    """FuncKey -> parameter indices the function releases, directly or
-    by forwarding to another releasing helper (fixpoint)."""
-    if project is None:
-        return {}
-    releasing: Dict[Tuple[str, str], Set[int]] = {}
-    forwards: Dict[Tuple[str, str],
-                   List[Tuple[int, Tuple[str, str], int]]] = {}
-    params_of: Dict[Tuple[str, str], List[str]] = {}
+def _positional_names(fn) -> List[str]:
+    """The parameters a call can fill by index (what a release
+    forwards by position)."""
+    return [a.arg for a in parameters(fn.node.args, kwonly=False,
+                                      variadic=False)]
+
+
+def releasing_params(project: Project) -> Dict[FuncKey, frozenset]:
+    """FuncKey -> positional parameter indices the function releases,
+    directly or by forwarding to another releasing helper."""
+    releasing: Dict[FuncKey, Set[int]] = {}
+    forwards: Dict[FuncKey, List[Tuple[int, FuncKey, int]]] = {}
     for key, fn in project.functions.items():
-        args = fn.node.args
-        names = [a.arg for a in (args.posonlyargs + args.args)]
-        params_of[key] = names
-        info = project.modules[fn.module]
-        for node in project._own_nodes(fn.node):
+        names = _positional_names(fn)
+        for node in fn.nodes:
             if not isinstance(node, ast.Call):
                 continue
             if isinstance(node.func, ast.Attribute) \
@@ -182,7 +171,7 @@ def releasing_params(project) -> Dict[Tuple[str, str], Set[int]]:
                 releasing.setdefault(key, set()).add(
                     names.index(node.func.value.id))
                 continue
-            candidates = project._resolve_callable_ref(node.func, info, fn)
+            candidates = project.resolve(node.func, fn)
             if len(candidates) != 1:
                 continue
             callee = candidates[0]
@@ -191,26 +180,25 @@ def releasing_params(project) -> Dict[Tuple[str, str], Set[int]]:
                 if isinstance(arg, ast.Name) and arg.id in names:
                     forwards.setdefault(key, []).append(
                         (names.index(arg.id), callee, pos + offset))
-    changed = True
-    while changed:
-        changed = False
-        for key, hops in forwards.items():
-            for my_index, callee, callee_index in hops:
-                if callee_index in releasing.get(callee, set()) \
-                        and my_index not in releasing.get(key, set()):
-                    releasing.setdefault(key, set()).add(my_index)
-                    changed = True
-    return releasing
+
+    def forwarded(key: FuncKey, facts) -> Optional[frozenset]:
+        own = facts.get(key, frozenset())
+        return own.union(
+            my_index for my_index, callee, callee_index
+            in forwards.get(key, ())
+            if callee_index in facts.get(callee, ())) or None
+
+    return project.propagate(
+        {key: frozenset(indices) for key, indices in releasing.items()},
+        forwarded)
 
 
-def _self_offset(project, callee, call: ast.Call) -> int:
+def _self_offset(project: Project, callee: FuncKey, call: ast.Call) -> int:
     """1 when the callee's first parameter is a bound ``self``."""
     fn = project.functions.get(callee)
     if fn is None or not isinstance(call.func, ast.Attribute):
         return 0
-    args = fn.node.args
-    names = [a.arg for a in (args.posonlyargs + args.args)]
-    return 1 if names[:1] == ["self"] else 0
+    return 1 if _positional_names(fn)[:1] == ["self"] else 0
 
 
 # -- per-function site collection -------------------------------------------
@@ -220,9 +208,9 @@ def _collect_acquires(fn_node) -> List[_Acquire]:
     (nested defs are opaque)."""
     acquires: List[_Acquire] = []
     for stmt in _own_statements(fn_node):
-        for node in _header_walk(stmt):
+        for node in header_walk(stmt):
             if isinstance(node, ast.Call):
-                name = _terminal(node.func)
+                name = terminal_name(node.func)
                 if name in _STREAM_OPEN_NAMES and isinstance(stmt, ast.Assign):
                     for target in stmt.targets:
                         if isinstance(target, ast.Name):
@@ -240,7 +228,7 @@ def _collect_acquires(fn_node) -> List[_Acquire]:
                         and isinstance(stmt, ast.Assign) \
                         and node is stmt.value:
                     for target in stmt.targets:
-                        dotted = (_dotted_name(target)
+                        dotted = (dotted_name(target)
                                   if isinstance(target, ast.Attribute)
                                   else target.id
                                   if isinstance(target, ast.Name) else None)
@@ -254,7 +242,7 @@ def _collect_acquires(fn_node) -> List[_Acquire]:
                                 stmt.lineno, stmt.col_offset))
                 elif name == "consume" \
                         and isinstance(node.func, ast.Attribute):
-                    recv = _dotted_name(node.func.value)
+                    recv = dotted_name(node.func.value)
                     if recv and "window" in recv.lower():
                         acquires.append(_Acquire(
                             LIFECYCLES[1], recv, stmt,
@@ -265,7 +253,7 @@ def _collect_acquires(fn_node) -> List[_Acquire]:
                     and target.attr in ("probe", "frame_probe") \
                     and not (isinstance(stmt.value, ast.Constant)
                              and stmt.value.value is None):
-                dotted = _dotted_name(target)
+                dotted = dotted_name(target)
                 if dotted:
                     acquires.append(_Acquire(
                         LIFECYCLES[2], dotted, stmt,
@@ -291,7 +279,7 @@ def _own_statements(fn_node) -> Iterable[ast.stmt]:
 class _ResourceModel:
     """Classifies statements as release / escape for one acquire."""
 
-    def __init__(self, acquire: _Acquire, project, fn, releasing):
+    def __init__(self, acquire: _Acquire, project: Project, fn, releasing):
         self.acquire = acquire
         self.project = project
         self.fn = fn
@@ -299,7 +287,7 @@ class _ResourceModel:
 
     def releases(self, stmt: ast.stmt) -> bool:
         acq = self.acquire
-        for node in _header_walk(stmt):
+        for node in header_walk(stmt):
             if not isinstance(node, ast.Call):
                 continue
             if acq.lifecycle.code == "RES001":
@@ -321,20 +309,20 @@ class _ResourceModel:
             elif acq.lifecycle.code == "RES002":
                 if isinstance(node.func, ast.Attribute) \
                         and node.func.attr in _CREDIT_RELEASE_NAMES:
-                    recv = _dotted_name(node.func.value)
+                    recv = dotted_name(node.func.value)
                     if recv and (recv == acq.resource
                                  or "window" in recv.lower()):
                         return True
             elif acq.lifecycle.code == "DOS003":
                 if isinstance(node.func, ast.Attribute) \
                         and node.func.attr == "cancel" \
-                        and _dotted_name(node.func.value) == acq.resource:
+                        and dotted_name(node.func.value) == acq.resource:
                     return True
         if self.acquire.lifecycle.code in ("RES003", "DOS003") \
                 and isinstance(stmt, ast.Assign):
             for target in stmt.targets:
                 if isinstance(target, (ast.Attribute, ast.Name)) \
-                        and _dotted_name(target) == acq.resource \
+                        and dotted_name(target) == acq.resource \
                         and isinstance(stmt.value, ast.Constant) \
                         and stmt.value.value is None:
                     return True
@@ -343,13 +331,7 @@ class _ResourceModel:
     def _releasing_call(self, node: ast.Call) -> bool:
         """``self._teardown(stream)`` where the helper releases that
         parameter (interprocedural summary)."""
-        if self.project is None or self.fn is None:
-            return False
-        info = self.project.modules.get(self.fn.module)
-        if info is None:
-            return False
-        candidates = self.project._resolve_callable_ref(
-            node.func, info, self.fn)
+        candidates = self.project.resolve(node.func, self.fn)
         if len(candidates) != 1:
             return False
         callee = candidates[0]
@@ -379,7 +361,7 @@ class _ResourceModel:
                         for n in ast.walk(stmt.value)):
             if stmt is not acq.stmt:
                 return True
-        for node in _header_walk(stmt):
+        for node in header_walk(stmt):
             if isinstance(node, (ast.Yield, ast.YieldFrom)) \
                     and node.value is not None \
                     and any(isinstance(n, ast.Name) and n.id == name
@@ -439,7 +421,7 @@ def _find_leak(cfg: CFG, model: _ResourceModel,
     # States: (block, exceptional-edge-taken); parents for evidence.
     parents: Dict[Tuple[int, bool],
                   Tuple[Optional[Tuple[int, bool]], Optional[Edge]]] = {}
-    frontier: List[Tuple[int, bool]] = []
+    frontier: Deque[Tuple[int, bool]] = deque()
     leaks: List[Tuple[Tuple[int, bool], Edge]] = []
 
     def expand(state: Tuple[int, bool], entry_idx: int) -> None:
@@ -463,14 +445,7 @@ def _find_leak(cfg: CFG, model: _ResourceModel,
             parents[nxt] = (state, edge)
             frontier.append(nxt)
 
-    # The acquire block: start past the acquire statement (the acquire
-    # call's own raise means nothing was acquired).
-    origin = (start_bid, False)
-    parents[origin] = (None, None)
-    expand(origin, acquire_idx + 1)
-    while frontier:
-        state = frontier.pop(0)
-        expand(state, 0)
+    def first_leak() -> Optional[Tuple[List[Edge], bool]]:
         for candidate, edge in leaks:
             exc = candidate[1] or edge.target == cfg.error
             if not model.acquire.lifecycle.error_paths_only or exc:
@@ -482,27 +457,26 @@ def _find_leak(cfg: CFG, model: _ResourceModel,
                     cursor = prev
                 hops.reverse()
                 return hops, exc
+        return None
+
+    # The acquire block: start past the acquire statement (the acquire
+    # call's own raise means nothing was acquired).
+    origin = (start_bid, False)
+    parents[origin] = (None, None)
+    expand(origin, acquire_idx + 1)
+    while frontier:
+        expand(frontier.popleft(), 0)
+        leak = first_leak()
+        if leak is not None:
+            return leak
         leaks.clear()
-    for candidate, edge in leaks:
-        exc = candidate[1] or edge.target == cfg.error
-        if not model.acquire.lifecycle.error_paths_only or exc:
-            hops = []
-            cursor = candidate
-            while parents[cursor][1] is not None:
-                prev, hop = parents[cursor]
-                hops.append(hop)
-                cursor = prev
-            hops.reverse()
-            return hops, exc
-    return None
+    return first_leak()
 
 
 # -- entry point ------------------------------------------------------------
 
-def check_lifecycles(project, enabled: Set[str]) -> List[Finding]:
+def check_lifecycles(project: Project, enabled: Set[str]) -> List[Finding]:
     """Run every enabled lifecycle rule over every project function."""
-    if project is None:
-        return []
     wanted = [lc for lc in LIFECYCLES if lc.code in enabled]
     if not wanted:
         return []

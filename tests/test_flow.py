@@ -318,6 +318,26 @@ class TestRes001:
                     s.reset()
         """, select=["RES001"])
 
+    def test_bad_release_intent_two_helpers_deep_on_one_branch(self):
+        findings = findings_for("""
+            class Mux:
+                def serve(self, ok):
+                    stream = self.conn.open_stream()
+                    if ok:
+                        self._teardown(stream)
+                    else:
+                        self.log("refused")
+
+                def _teardown(self, s):
+                    self._drop(s)
+
+                def _drop(self, t):
+                    t.reset()
+        """, select=["RES001"])
+        assert [f.code for f in findings] == ["RES001"]
+        assert findings[0].line == 4
+        assert "is not taken" in "\n".join(findings[0].trace)
+
     def test_good_ownership_transfer_is_not_a_leak(self):
         # No release site anywhere: the stream is registered and kept.
         assert not findings_for("""

@@ -453,6 +453,43 @@ class TestInterproceduralDet001:
                                   "the escape path"
         assert any("residue" in hop for hop in findings[0].trace)
 
+    def test_bad_mutable_set_annotated_helper_iterated_elsewhere(self):
+        # The helper's return annotation is the only evidence it yields
+        # a set; MutableSet counts the same as Set.
+        bad = """
+            from typing import MutableSet
+
+            def pending() -> MutableSet[str]:
+                return make_pending()
+
+            def rerequest():
+                order = []
+                for path in pending():
+                    order.append(path)
+                return order
+        """
+        findings = findings_for(bad)
+        assert [f.code for f in findings] == ["DET001"]
+        assert any("pending" in hop for hop in findings[0].trace)
+
+    def test_bad_mutually_recursive_set_helpers_terminate(self):
+        bad = """
+            def a(xs):
+                if xs:
+                    return b(xs[1:])
+                return set()
+
+            def b(xs):
+                return a(xs)
+
+            def consume(xs):
+                return list(b(xs))
+        """
+        findings = findings_for(bad)
+        assert [f.code for f in findings] == ["DET001"]
+        trace = findings[0].trace
+        assert "b()" in trace[0] and "a()" in trace[1]
+
     def test_bad_escape_through_two_helpers_binds_a_name(self):
         bad = """
             def inner(xs):
@@ -708,6 +745,42 @@ class TestProto001:
                 window.consume(nbytes)
         """
         assert codes(good) == []
+
+    def test_good_check_two_helpers_deep_covers_the_chain(self):
+        good = """
+            def can_send(window, nbytes):
+                return window.available >= nbytes
+
+            def _window_ok(window, nbytes):
+                return can_send(window, nbytes)
+
+            def _ready(window, nbytes):
+                return _window_ok(window, nbytes)
+
+            def transmit(window, nbytes):
+                if _ready(window, nbytes):
+                    window.consume(nbytes)
+        """
+        assert codes(good) == []
+
+    def test_bad_chain_two_helpers_deep_ending_in_a_non_check(self):
+        bad = """
+            def is_open(window, nbytes):
+                return window.available >= nbytes
+
+            def _window_ok(window, nbytes):
+                return is_open(window, nbytes)
+
+            def _ready(window, nbytes):
+                return _window_ok(window, nbytes)
+
+            def transmit(window, nbytes):
+                if _ready(window, nbytes):
+                    window.consume(nbytes)
+        """
+        findings = findings_for(bad)
+        assert [f.code for f in findings] == ["PROTO001"]
+        assert findings[0].line == 13
 
     def test_bad_consume_on_the_unchecked_else_branch(self):
         # Regression for the pre-CFG engine's false negative: the old
