@@ -101,7 +101,12 @@ def degree_of_multiplexing(tx_log: Sequence, object_path: str,
     Returns a fraction in [0, 1]; raises ``KeyError`` when the object
     never appears in the log.
     """
-    spans = serve_spans(tx_log)
+    return _degree(serve_spans(tx_log), object_path, serve_id)
+
+
+def _degree(spans: Dict[Tuple[str, int], ServeSpan], object_path: str,
+            serve_id: Optional[int]) -> float:
+    """:func:`degree_of_multiplexing` over an already grouped log."""
     target = _select_span(spans, object_path, serve_id)
     others = [span for key, span in spans.items()
               if key != (target.object_path, target.serve_id)]
@@ -146,7 +151,7 @@ def object_serialized(tx_log: Sequence, object_path: str,
             continue
         if require_completed and not span.completed:
             continue
-        if degree_of_multiplexing(tx_log, path, serve_id) == 0.0:
+        if _degree(spans, path, serve_id) == 0.0:
             return True
     return False
 
@@ -164,5 +169,6 @@ def _select_span(spans: Dict[Tuple[str, int], ServeSpan], object_path: str,
 
 def mean_degree(tx_log: Sequence, object_paths: Iterable[str]) -> float:
     """Average degree over several objects (first non-dup serve each)."""
-    degrees = [degree_of_multiplexing(tx_log, path) for path in object_paths]
+    spans = serve_spans(tx_log)
+    degrees = [_degree(spans, path, None) for path in object_paths]
     return sum(degrees) / len(degrees) if degrees else 0.0

@@ -12,8 +12,7 @@ compression.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Tuple
 
 #: Subset of the RFC 7541 Appendix A static table that web traffic hits.
 STATIC_TABLE: Tuple[Tuple[str, str], ...] = (
@@ -73,8 +72,7 @@ def _string_size(text: str) -> int:
     return _integer_size(compressed, 7) + compressed
 
 
-@dataclass(frozen=True, slots=True)
-class HpackToken:
+class HpackToken(NamedTuple):
     """One encoded header field, as handed to the decoder."""
 
     kind: str  # "indexed" | "literal-indexed" | "literal"
@@ -154,21 +152,20 @@ class HpackEncoder:
         # Exact match in static table -> indexed representation.
         static = self._static_exact.get((name, value), 0)
         if static:
-            return HpackToken("indexed", index=static,
-                              size=_integer_size(static, 7))
+            return HpackToken("indexed", static, "", "",
+                              _integer_size(static, 7))
         dyn = self._dynamic.find(name, value)
         if dyn:
             index = len(STATIC_TABLE) + dyn
-            return HpackToken("indexed", index=index,
-                              size=_integer_size(index, 7))
+            return HpackToken("indexed", index, "", "",
+                              _integer_size(index, 7))
         # Literal with incremental indexing; name may be indexed.
         name_index = self._static_name.get(name, 0)
         size = _integer_size(name_index, 6) if name_index else (
             _integer_size(0, 6) + _string_size(name))
         size += _string_size(value)
         self._dynamic.add(name, value)
-        return HpackToken("literal-indexed", index=name_index,
-                          name=name, value=value, size=size)
+        return HpackToken("literal-indexed", name_index, name, value, size)
 
 
 class HpackDecoder:

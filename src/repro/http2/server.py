@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.http2 import frames as fr
 from repro.http2.connection import Http2Connection
@@ -271,8 +271,7 @@ class _ConnectionHardening:
         self.conn._reset_stream(stream_id, ErrorCode.CANCEL)
 
 
-@dataclass(frozen=True, slots=True)
-class TxEntry:
+class TxEntry(NamedTuple):
     """Ground-truth record of one response frame entering the TCP stream."""
 
     time: float
@@ -670,20 +669,15 @@ class ServerConnection(Http2Connection):
             # machine only tracks the first serve.
             if stream is not None and not stream.is_closed:
                 stream.on_send_data(frame.length, frame.end_stream)
+            ref = frame.object_ref
+            entry = TxEntry(self.sim.now, sid, ref.path if ref else "",
+                            frame.serve_id, offset, frame.length, True,
+                            frame.end_stream, dup)
         else:
             self.send_frame(frame)
-        self.tx_log.append(TxEntry(
-            time=self.sim.now,
-            stream_id=sid,
-            object_path=(frame.object_ref.path if is_data and frame.object_ref
-                         else ""),
-            serve_id=frame.serve_id if is_data else 0,
-            tcp_offset=offset,
-            length=frame.length if is_data else 0,
-            is_data=is_data,
-            end_stream=getattr(frame, "end_stream", False),
-            duplicate=dup,
-        ))
+            entry = TxEntry(self.sim.now, sid, "", 0, offset, 0, False,
+                            getattr(frame, "end_stream", False), dup)
+        self.tx_log.append(entry)
 
 
 class Http2Server:

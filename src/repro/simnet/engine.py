@@ -18,48 +18,48 @@ from typing import Any, Callable, Optional
 from repro.simnet.randomness import RandomStreams
 
 
-class EventHandle:
-    """Cancellable handle for a scheduled event.
+class EventHandle(list):
+    """Cancellable handle for a scheduled event, and its own heap entry.
 
-    Handles never enter the heap themselves: the queue holds
-    ``(when, seq, handle)`` tuples so heap sift comparisons run as
-    C-level tuple comparisons instead of a Python ``__lt__`` call per
-    step (measured ~2.1x on the ``event_heap`` bench topic; see
-    docs/BENCHMARKS.md).  ``seq`` is unique, so the handle is never
-    compared.
+    A handle *is* the list ``[when, seq, callback, args]`` that sits in
+    the heap, so scheduling allocates one object and heap sift
+    comparisons run as C-level list comparisons.  ``seq`` is unique, so
+    a comparison never reaches the callback.  Cancelling clears the
+    callback slot; the run loop discards such entries when they surface.
+    ``_sim`` is the owning simulator while the event is pending and
+    ``None`` once it fired, so cancelling a fired event changes no count.
     """
 
-    __slots__ = ("when", "seq", "callback", "args", "cancelled", "_sim")
+    __slots__ = ("_sim",)
 
-    def __init__(self, when: float, seq: int, callback: Callable[..., Any], args: tuple,
-                 sim: "Optional[Simulator]" = None):
-        self.when = when
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self._sim = sim
+    @property
+    def when(self) -> float:
+        """Absolute simulated time the event fires at."""
+        return self[0]
+
+    @property
+    def seq(self) -> int:
+        """Scheduling sequence number (breaks same-time ties)."""
+        return self[1]
+
+    @property
+    def cancelled(self) -> bool:
+        """True once :meth:`cancel` was called."""
+        return self[2] is None
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Idempotent."""
-        if self.cancelled:
+        if self[2] is None:
             return
-        self.cancelled = True
-        self.callback = _noop
-        self.args = ()
-        if self._sim is not None:
-            self._sim._live -= 1
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.when, self.seq) < (other.when, other.seq)
+        self[2] = None
+        self[3] = ()
+        sim = self._sim
+        if sim is not None:
+            sim._live -= 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
-        return f"EventHandle(when={self.when:.6f}, seq={self.seq}, {state})"
-
-
-def _noop() -> None:
-    return None
+        return f"EventHandle(when={self[0]:.6f}, seq={self[1]}, {state})"
 
 
 class Simulator:
@@ -73,7 +73,7 @@ class Simulator:
     """
 
     def __init__(self, seed: int = 0):
-        #: Heap of ``(when, seq, EventHandle)`` tuples (see EventHandle).
+        #: Heap of :class:`EventHandle` entries.
         self._queue: list = []
         self._seq = 0
         self._now = 0.0
@@ -111,10 +111,11 @@ class Simulator:
         if when < self._now:
             raise ValueError(f"cannot schedule at {when} before now ({self._now})")
         seq = self._seq
-        handle = EventHandle(when, seq, callback, args, sim=self)
+        handle = EventHandle((when, seq, callback, args))
+        handle._sim = self
         self._seq = seq + 1
         self._live += 1
-        heapq.heappush(self._queue, (when, seq, handle))
+        heapq.heappush(self._queue, handle)
         return handle
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
@@ -136,8 +137,9 @@ class Simulator:
         try:
             executed = 0
             while queue:
-                when, _seq, head = queue[0]
-                if head.cancelled:
+                head = queue[0]
+                when, _seq, callback, args = head
+                if callback is None:
                     heappop(queue)
                     continue
                 if until is not None and when > until:
@@ -145,9 +147,9 @@ class Simulator:
                 if max_events is not None and executed >= max_events:
                     break
                 heappop(queue)
+                head._sim = None
                 self._live -= 1
                 self._now = when
-                callback, args = head.callback, head.args
                 if self.probe is not None:
                     self.probe(when, callback)
                 callback(*args)
@@ -158,7 +160,7 @@ class Simulator:
             # events queued, and jumping past them would run them with a
             # backwards-moving clock on the next call.
             if until is not None and self._now < until:
-                while queue and queue[0][2].cancelled:
+                while queue and queue[0][2] is None:
                     heappop(queue)
                 if not queue or queue[0][0] >= until:
                     self._now = until

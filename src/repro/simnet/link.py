@@ -36,10 +36,6 @@ class LinkConfig:
     #: correlated); leave ``False`` unless modelling a reordering path.
     allow_reorder: bool = False
 
-    def serialization_s(self, size: int) -> float:
-        """Time to clock ``size`` bytes onto the wire."""
-        return size * 8.0 / self.bandwidth_bps
-
 
 @dataclass
 class LinkStats:
@@ -131,40 +127,54 @@ class Link:
         """
         if self._receiver is None:
             raise RuntimeError(f"link {self.name} has no receiver attached")
-        self.stats.sent += 1
+        # One call per packet per hop, so config and stats are read into
+        # locals.  Keep the operand order of the time arithmetic: cell
+        # digests pin departure and arrival times to the last bit.
+        stats = self.stats
+        probe = self.probe
+        stats.sent += 1
         if not self._up:
-            self.stats.dropped_down += 1
-            if self.probe is not None:
-                self.probe("drop_down", packet)
+            stats.dropped_down += 1
+            if probe is not None:
+                probe("drop_down", packet)
             return False
-        if self.config.loss_rate > 0 and self._rng.random() < self.config.loss_rate:
-            self.stats.dropped_loss += 1
-            if self.probe is not None:
-                self.probe("drop_loss", packet)
+        config = self.config
+        loss_rate = config.loss_rate
+        if loss_rate > 0 and self._rng.random() < loss_rate:
+            stats.dropped_loss += 1
+            if probe is not None:
+                probe("drop_loss", packet)
             return False
-        if self._queued_bytes + packet.size > self.config.buffer_bytes:
-            self.stats.dropped_queue += 1
-            if self.probe is not None:
-                self.probe("drop_queue", packet)
+        size = packet.size
+        queued = self._queued_bytes + size
+        if queued > config.buffer_bytes:
+            stats.dropped_queue += 1
+            if probe is not None:
+                probe("drop_queue", packet)
             return False
 
-        now = self.sim.now
-        depart = max(now, self._busy_until) + self.config.serialization_s(packet.size)
+        sim = self.sim
+        now = sim.now
+        busy_until = self._busy_until
+        depart = ((busy_until if busy_until > now else now)
+                  + size * 8.0 / config.bandwidth_bps)
         self._busy_until = depart
-        self._queued_bytes += packet.size
+        self._queued_bytes = queued
 
         jitter = 0.0
-        if self.config.jitter is not None:
-            jitter = max(0.0, self.config.jitter(self._rng))
-        arrival = depart + self.config.propagation_s + jitter
-        if not self.config.allow_reorder:
-            arrival = max(arrival, self._last_arrival)
+        if config.jitter is not None:
+            sample = config.jitter(self._rng)
+            if sample > 0.0:
+                jitter = sample
+        arrival = depart + config.propagation_s + jitter
+        if not config.allow_reorder and self._last_arrival > arrival:
+            arrival = self._last_arrival
         self._last_arrival = arrival
-        depart_handle = self.sim.schedule_at(depart, self._on_depart, packet)
-        arrive_handle = self.sim.schedule_at(arrival, self._on_arrive, packet)
+        depart_handle = sim.schedule_at(depart, self._on_depart, packet)
+        arrive_handle = sim.schedule_at(arrival, self._on_arrive, packet)
         self._queued[id(packet)] = (packet, depart_handle, arrive_handle)
-        if self.probe is not None:
-            self.probe("accept", packet)
+        if probe is not None:
+            probe("accept", packet)
         return True
 
     def queue_depth_bytes(self) -> int:

@@ -15,7 +15,7 @@ real gateway has.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 from repro.simnet.engine import Simulator
 from repro.simnet.link import Link
@@ -27,12 +27,16 @@ SERVER_TO_CLIENT = "s2c"
 DIRECTIONS = (CLIENT_TO_SERVER, SERVER_TO_CLIENT)
 
 
-@dataclass
-class PolicyAction:
+class PolicyAction(NamedTuple):
     """Verdict of one policy on one packet."""
 
     drop: bool = False
     release_at: Optional[float] = None
+
+
+#: The two verdicts that carry no release time, shared by every policy.
+PASS = PolicyAction()
+DROP = PolicyAction(True)
 
 
 class Policy:
@@ -45,7 +49,7 @@ class Policy:
         policies in the chain; implementations wishing to delay further
         return a later ``release_at``.
         """
-        return PolicyAction()
+        return PASS
 
 
 class UniformDelayPolicy(Policy):
@@ -63,10 +67,10 @@ class UniformDelayPolicy(Policy):
 
     def process(self, view: WireView, direction: str, proposed_release: float) -> PolicyAction:
         if self.direction is not None and direction != self.direction:
-            return PolicyAction()
+            return PASS
         if self.match is not None and not self.match(view):
-            return PolicyAction()
-        return PolicyAction(release_at=proposed_release + self.delay_s)
+            return PASS
+        return PolicyAction(False, proposed_release + self.delay_s)
 
 
 class SpacingPolicy(Policy):
@@ -114,7 +118,7 @@ class SpacingPolicy(Policy):
 
     def process(self, view: WireView, direction: str, proposed_release: float) -> PolicyAction:
         if direction != self.direction or not self.match(view):
-            return PolicyAction()
+            return PASS
         now = proposed_release
         # A new epoch starts only when the hold queue has fully drained
         # AND the burst went quiet -- a shaper cannot "reset" while
@@ -138,7 +142,7 @@ class SpacingPolicy(Policy):
                 release = spaced
                 self.held_packets += 1
         self._last_release = release
-        return PolicyAction(release_at=release)
+        return PolicyAction(False, release)
 
 
 class NetemJitterPolicy(Policy):
@@ -169,11 +173,11 @@ class NetemJitterPolicy(Policy):
 
     def process(self, view: WireView, direction: str, proposed_release: float) -> PolicyAction:
         if direction != self.direction or not self.match(view):
-            return PolicyAction()
+            return PASS
         low = self.mean_delay_s * (1.0 - self.frac)
         high = self.mean_delay_s * (1.0 + self.frac)
         self.delayed_packets += 1
-        return PolicyAction(release_at=proposed_release
+        return PolicyAction(False, proposed_release
                             + self._rng.uniform(low, high))
 
 
@@ -199,14 +203,14 @@ class TokenBucketPolicy(Policy):
 
     def process(self, view: WireView, direction: str, proposed_release: float) -> PolicyAction:
         if self.direction is not None and direction != self.direction:
-            return PolicyAction()
+            return PASS
         vq = max(proposed_release, self._virtual_queue[direction])
         release = vq + view.size * 8.0 / self.rate_bps
         if release - proposed_release > self.max_backlog_s:
             self.dropped += 1
-            return PolicyAction(drop=True)
+            return DROP
         self._virtual_queue[direction] = release
-        return PolicyAction(release_at=release)
+        return PolicyAction(False, release)
 
 
 class WindowedDropPolicy(Policy):
@@ -236,13 +240,13 @@ class WindowedDropPolicy(Policy):
 
     def process(self, view: WireView, direction: str, proposed_release: float) -> PolicyAction:
         if direction != self.direction or not self.active(proposed_release):
-            return PolicyAction()
+            return PASS
         if not self.match(view):
-            return PolicyAction()
+            return PASS
         if self._rng.random() < self.rate:
             self.dropped += 1
-            return PolicyAction(drop=True)
-        return PolicyAction()
+            return DROP
+        return PASS
 
 
 def _matches_application_data(view: WireView) -> bool:
@@ -351,12 +355,12 @@ class Middlebox:
         release = now
         dropped = False
         for policy in self._policies:
-            action = policy.process(view, direction, release)
-            if action.drop:
+            drop, release_at = policy.process(view, direction, release)
+            if drop:
                 dropped = True
                 break
-            if action.release_at is not None and action.release_at > release:
-                release = action.release_at
+            if release_at is not None and release_at > release:
+                release = release_at
 
         for tap in self._taps:
             tap(now, direction, view, dropped)

@@ -13,13 +13,18 @@ boundary: every field on it is derivable from cleartext bytes on a real
 wire.  Adversary code (``repro.core``) only ever consumes wire views;
 ground truth (which web object a record belongs to) stays on the
 underlying objects and is used exclusively by metrics and tests.
+
+The wire-view types are immutable ``NamedTuple``s rather than frozen
+dataclasses: one is built per packet (and one ``RecordInfo`` per record
+slice), and a named tuple costs a fraction of a frozen dataclass to
+construct.  Hot construction sites pass fields positionally.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Optional, Tuple
+from typing import Any, NamedTuple, Optional, Tuple
 
 _packet_ids = itertools.count(1)
 
@@ -32,8 +37,7 @@ HEADER_OVERHEAD = 54
 MTU = 1500
 
 
-@dataclass(frozen=True, slots=True)
-class RecordInfo:
+class RecordInfo(NamedTuple):
     """Cleartext-visible information about (a slice of) a TLS record.
 
     TLS record headers are not encrypted, so an on-path device that
@@ -56,8 +60,7 @@ class RecordInfo:
         return self.content_type == 23
 
 
-@dataclass(frozen=True, slots=True)
-class TcpWireView:
+class TcpWireView(NamedTuple):
     """Cleartext TCP header fields."""
 
     src_port: int
@@ -76,8 +79,7 @@ class TcpWireView:
         return self.payload_len == 0 and not (self.syn or self.fin or self.rst)
 
 
-@dataclass(frozen=True, slots=True)
-class WireView:
+class WireView(NamedTuple):
     """Everything an on-path, non-decrypting observer may read."""
 
     pid: int
@@ -118,20 +120,12 @@ class Packet:
 
     def wire_view(self) -> WireView:
         """Build the adversary-visible view of this packet."""
-        tcp_view: Optional[TcpWireView] = None
-        records: Tuple[RecordInfo, ...] = ()
-        is_retransmit = False
-        if self.segment is not None:
-            tcp_view, records, is_retransmit = self.segment.wire_view()
-        return WireView(
-            pid=self.pid,
-            src=self.src,
-            dst=self.dst,
-            size=self.size,
-            tcp=tcp_view,
-            records=records,
-            is_retransmit=is_retransmit,
-        )
+        segment = self.segment
+        if segment is None:
+            return WireView(self.pid, self.src, self.dst, self.size, None)
+        tcp_view, records, is_retransmit = segment.wire_view()
+        return WireView(self.pid, self.src, self.dst, self.size, tcp_view,
+                        records, is_retransmit)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Packet(pid={self.pid}, {self.src}->{self.dst}, size={self.size})"

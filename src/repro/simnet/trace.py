@@ -17,14 +17,12 @@ session rather than once per packet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from repro.simnet.packet import WireView
 
 
-@dataclass(frozen=True, slots=True)
-class CapturedPacket:
+class CapturedPacket(NamedTuple):
     """One packet as seen transiting the middlebox."""
 
     time: float
@@ -33,8 +31,7 @@ class CapturedPacket:
     dropped: bool
 
 
-@dataclass(frozen=True, slots=True)
-class CompletedRecord:
+class CompletedRecord(NamedTuple):
     """A TLS record whose last byte has been observed.
 
     ``start_time``/``end_time`` bracket the packets that carried it;
@@ -126,23 +123,15 @@ class TraceRecorder:
                                           self._views, self._dropped):
             if d != direction or dropped:
                 continue
-            for info in view.records:
-                if content_type is not None and info.content_type != content_type:
+            for key, ctype, wire_len, _, is_start, is_end in view.records:
+                if content_type is not None and ctype != content_type:
                     continue
-                key = info.record_id
-                if info.is_start or key not in open_records:
+                if is_start or key not in open_records:
                     open_records[key] = time
-                if info.is_end:
+                if is_end:
                     start_time = open_records.pop(key, time)
                     completed.append(CompletedRecord(
-                        record_id=info.record_id,
-                        content_type=info.content_type,
-                        wire_len=info.record_wire_len,
-                        start_time=start_time,
-                        end_time=time,
-                        direction=d,
-                        final_packet_size=view.size,
-                    ))
+                        key, ctype, wire_len, start_time, time, d, view.size))
         return completed
 
     def count(self, predicate: Callable[[CapturedPacket], bool]) -> int:

@@ -51,8 +51,7 @@ class SendBuffer:
             lo = max(seq, start)
             hi = min(end, rec_end)
             if hi > lo:
-                slices.append(RecordSlice(record=record, offset=lo - start,
-                                          length=hi - lo))
+                slices.append(RecordSlice(record, lo - start, hi - lo))
             idx += 1
         return tuple(slices)
 

@@ -429,22 +429,18 @@ class TcpConnection:
     def _make_segment(self, seq: int = 0, payload_len: int = 0,
                       slices: tuple = (), syn: bool = False, fin: bool = False,
                       rst: bool = False, is_ack: bool = True) -> TcpSegment:
-        return TcpSegment(
-            src=self.host.address, dst=self.remote_addr,
-            src_port=self.local_port, dst_port=self.remote_port,
-            seq=seq, ack_no=self.receive_buffer.rcv_nxt,
-            payload_len=payload_len, slices=slices,
-            syn=syn, fin=fin, rst=rst, is_ack=is_ack,
-        )
+        return TcpSegment(self.host.address, self.remote_addr,
+                          self.local_port, self.remote_port, seq,
+                          self.receive_buffer.rcv_nxt, payload_len, slices,
+                          syn, fin, rst, is_ack)
 
     def _emit(self, segment: TcpSegment) -> None:
         self.stats.segments_sent += 1
         if self.stack.probe is not None:
             self.stack.probe(self, "send", segment)
-        packet = Packet(src=self.host.address, dst=self.remote_addr,
-                        size=HEADER_OVERHEAD + segment.payload_len,
-                        segment=segment)
-        self.host.send_packet(packet)
+        self.host.send_packet(Packet(self.host.address, self.remote_addr,
+                                     HEADER_OVERHEAD + segment.payload_len,
+                                     segment))
 
     # -- RTO / TLP timer ----------------------------------------------------
 

@@ -15,9 +15,13 @@ from repro.bench.compare import CompareUsageError
 from repro.bench.snapshot import SnapshotError, load_location, snapshot_path
 from repro.cli import main
 from repro.http2.frames import DataFrame, HeadersFrame
+from repro.http2.hpack import HpackToken
+from repro.http2.server import TxEntry
 from repro.simnet.engine import Simulator
-from repro.simnet.packet import Packet
-from repro.simnet.trace import CapturedPacket, TraceRecorder
+from repro.simnet.middlebox import PolicyAction
+from repro.simnet.packet import Packet, RecordInfo, TcpWireView, WireView
+from repro.simnet.trace import CapturedPacket, CompletedRecord, TraceRecorder
+from repro.tcp.segment import RecordSlice
 from repro.tls.record import TlsRecord
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -240,3 +244,30 @@ def test_hot_path_objects_reject_stray_attributes():
             obj.definitely_not_a_field = 1
     for obj in (handle, record):
         assert not hasattr(obj, "__dict__")
+
+
+_INFO = RecordInfo(1, 23, 100, 100, True, True)
+_TCP = TcpWireView(1, 443, 0, 0, 100)
+_VIEW = WireView(1, "c", "s", 154, _TCP, (_INFO,))
+
+
+@pytest.mark.parametrize("value", [
+    _INFO,
+    _TCP,
+    _VIEW,
+    CapturedPacket(0.0, "c2s", _VIEW, False),
+    CompletedRecord(1, 23, 100, 0.0, 0.0, "s2c", 154),
+    RecordSlice(TlsRecord(content_type=23, payload_len=10), 0, 10),
+    TxEntry(0.0, 1, "/a", 1, 0, 10, True, True, False),
+    HpackToken("indexed", 2),
+    PolicyAction(False, 1.0),
+], ids=lambda value: type(value).__name__)
+def test_value_types_are_immutable(value):
+    """Per-packet value types are shared freely (policies return shared
+    verdicts, captures hold the views the taps saw), so neither a field
+    nor a stray attribute may be written."""
+    with pytest.raises(AttributeError):
+        setattr(value, type(value)._fields[0], None)
+    with pytest.raises(AttributeError):
+        value.definitely_not_a_field = 1
+    assert not hasattr(value, "__dict__")

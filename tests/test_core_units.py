@@ -370,3 +370,46 @@ def test_serve_spans_grouping():
 def test_mean_degree():
     log = [tx("/a", 1, 0, 100, end=True), tx("/b", 2, 100, 100, end=True)]
     assert mean_degree(log, ["/a", "/b"]) == 0.0
+
+
+def test_metrics_over_mixed_log_with_duplicate_and_incomplete_serves():
+    headers = TxEntry(time=0.0, stream_id=1, object_path="", serve_id=0,
+                      tcp_offset=0, length=0, is_data=False,
+                      end_stream=False, duplicate=False)
+    log = [headers,
+           # /html serve 1 interleaved with /img serve 2: degree 1/2 each.
+           tx("/html", 1, 0, 100), tx("/img", 2, 100, 100),
+           tx("/html", 1, 200, 100, end=True),
+           tx("/img", 2, 300, 100, end=True),
+           # A clean duplicate serve, then a clean but incomplete serve.
+           tx("/html", 3, 400, 100, dup=True, end=True),
+           tx("/html", 4, 500, 200),
+           # One clean complete object, one clean incomplete re-serve.
+           tx("/css", 5, 700, 100, end=True),
+           tx("/img", 6, 800, 100),
+           # /js serve 7 is split by its own duplicate serve 8.
+           tx("/js", 7, 900, 50), tx("/js", 8, 950, 50, dup=True, end=True),
+           tx("/js", 7, 1000, 50, end=True)]
+
+    assert degree_of_multiplexing(log, "/html") == 0.5
+    assert degree_of_multiplexing(log, "/html", 3) == 0.0
+    assert degree_of_multiplexing(log, "/html", 4) == 0.0
+    assert degree_of_multiplexing(log, "/img") == 0.5
+    assert degree_of_multiplexing(log, "/img", 6) == 0.0
+    assert degree_of_multiplexing(log, "/css") == 0.0
+    assert degree_of_multiplexing(log, "/js") == 0.5
+    assert degree_of_multiplexing(log, "/js", 8) == 0.0
+
+    assert not object_serialized(log, "/html")
+    assert object_serialized(log, "/html", require_completed=False)
+    assert not object_serialized(log, "/img")
+    assert object_serialized(log, "/img", require_completed=False)
+    assert object_serialized(log, "/css")
+    assert not object_serialized(log, "/js")
+    assert not object_serialized(log, "/js", require_completed=False)
+    assert not object_serialized(log, "/missing")
+
+    assert mean_degree(log, ["/html", "/img", "/css", "/js"]) == 0.375
+    assert mean_degree(log, []) == 0.0
+    with pytest.raises(KeyError):
+        mean_degree(log, ["/css", "/missing"])

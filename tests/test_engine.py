@@ -1,6 +1,8 @@
 """Event loop and random-stream tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simnet.engine import Simulator
 from repro.simnet.randomness import RandomStreams
@@ -183,3 +185,129 @@ def test_simulator_rng_is_stream_backed():
     sim_a = Simulator(seed=5)
     sim_b = Simulator(seed=5)
     assert sim_a.rng("link").random() == sim_b.rng("link").random()
+
+
+# -- differential test against a sorted-list reference model ----------------
+
+class _ReferenceEngine:
+    """The simulator's contract as a sorted list of pending entries."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.processed_events = 0
+        self._pending = []  # [when, seq, callback, args], sorted
+        self._seq = 0
+
+    def schedule_at(self, when, callback, *args):
+        if when < self.now:
+            raise ValueError(when)
+        entry = [when, self._seq, callback, args]
+        self._seq += 1
+        self._pending.append(entry)
+        self._pending.sort(key=lambda e: (e[0], e[1]))
+        return entry
+
+    def schedule(self, delay, callback, *args):
+        return self.schedule_at(self.now + delay, callback, *args)
+
+    def cancel(self, entry):
+        if entry in self._pending:  # seq is unique, so == is identity
+            self._pending.remove(entry)
+
+    def pending_events(self):
+        return len(self._pending)
+
+    def run(self, until=None, max_events=None):
+        executed = 0
+        while self._pending:
+            when, _, callback, args = self._pending[0]
+            if until is not None and when > until:
+                break
+            if max_events is not None and executed >= max_events:
+                break
+            self._pending.pop(0)
+            self.now = when
+            callback(*args)
+            self.processed_events += 1
+            executed += 1
+        if until is not None and self.now < until and (
+                not self._pending or self._pending[0][0] >= until):
+            self.now = until
+        return self.now
+
+
+class _Driver:
+    """Runs one program against one engine, logging every firing."""
+
+    def __init__(self, engine, cancel):
+        self.engine = engine
+        self._cancel = cancel
+        self.handles = []
+        self.log = []
+
+    def schedule(self, delay, label, nested=None, relative=False):
+        if relative:
+            handle = self.engine.schedule(delay, self._fire, label, nested)
+        else:
+            handle = self.engine.schedule_at(self.engine.now + delay,
+                                             self._fire, label, nested)
+        self.handles.append(handle)
+
+    def cancel(self, index):
+        if self.handles:
+            handle = self.handles[index % len(self.handles)]
+            self._cancel(handle)
+            pending = self.engine.pending_events()
+            self._cancel(handle)
+            assert self.engine.pending_events() == pending
+
+    def _fire(self, label, nested):
+        self.log.append((label, self.engine.now))
+        if nested is not None:
+            kind, value = nested
+            if kind == "cancel":
+                self.cancel(value)
+            else:
+                self.schedule(value, f"{label}+", relative=True)
+
+
+_DELAYS = st.sampled_from([0.0, 0.0, 0.25, 1.0, 1.0, 2.5])
+_NESTED = st.one_of(
+    st.none(),
+    st.tuples(st.just("cancel"), st.integers(0, 30)),
+    st.tuples(st.just("schedule"), _DELAYS))
+_OPS = st.one_of(
+    st.tuples(st.just("schedule"), _DELAYS, _NESTED, st.booleans()),
+    st.tuples(st.just("cancel"), st.integers(0, 30)),
+    st.tuples(st.just("run"),
+              st.one_of(st.none(), st.sampled_from([0.0, 0.25, 1.0, 3.0])),
+              st.one_of(st.none(), st.integers(0, 4))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_OPS, max_size=40))
+def test_engine_matches_reference_model(program):
+    sim = Simulator()
+    model = _ReferenceEngine()
+    drivers = (_Driver(sim, lambda handle: handle.cancel()),
+               _Driver(model, model.cancel))
+    for step, op in enumerate(program):
+        for driver in drivers:
+            if op[0] == "schedule":
+                driver.schedule(op[1], step, op[2], op[3])
+            elif op[0] == "cancel":
+                driver.cancel(op[1])
+            else:
+                until = None if op[1] is None else driver.engine.now + op[1]
+                driver.engine.run(until=until, max_events=op[2])
+        real, ref = drivers
+        assert real.log == ref.log
+        assert sim.now == model.now
+        assert sim.processed_events == model.processed_events
+        assert sim.pending_events() == model.pending_events()
+        assert [(h.when, h.seq) for h in real.handles] == \
+            [(h[0], h[1]) for h in ref.handles]
+    sim.run()
+    model.run()
+    assert drivers[0].log == drivers[1].log
+    assert sim.pending_events() == model.pending_events() == 0

@@ -9,7 +9,6 @@ LEAK001 catches it with the exact multi-hop ``via`` trace, so the
 boundary holds even for flows the token scan cannot see.
 """
 
-import dataclasses
 import inspect
 import textwrap
 
@@ -19,13 +18,13 @@ from repro.simnet.packet import RecordInfo, TcpWireView, WireView
 
 
 def test_wireview_fields_are_cleartext_only():
-    field_names = {f.name for f in dataclasses.fields(WireView)}
+    field_names = set(WireView._fields)
     assert field_names == {"pid", "src", "dst", "size", "tcp", "records",
                            "is_retransmit"}
 
 
 def test_recordinfo_carries_no_plaintext():
-    field_names = {f.name for f in dataclasses.fields(RecordInfo)}
+    field_names = set(RecordInfo._fields)
     # Header-derivable facts only: no payload, no object reference.
     assert field_names == {"record_id", "content_type", "record_wire_len",
                            "bytes_in_packet", "is_start", "is_end"}
@@ -33,7 +32,7 @@ def test_recordinfo_carries_no_plaintext():
 
 
 def test_tcp_view_has_no_payload_reference():
-    field_names = {f.name for f in dataclasses.fields(TcpWireView)}
+    field_names = set(TcpWireView._fields)
     assert "slices" not in field_names
     assert "payload" not in field_names
 
