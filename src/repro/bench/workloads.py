@@ -105,11 +105,11 @@ def _run_event_heap(scale: Scale) -> int:
 
 # -- packet_trace: per-packet object churn + capture -----------------------
 
-def _run_packet_trace(scale: Scale) -> int:
-    """The middlebox transit cost: build packets carrying TLS record
-    slices, derive their wire views, and capture them in a
-    :class:`~repro.simnet.trace.TraceRecorder`, then run the trace's
-    record reassembly and retransmission queries the adversary runs.
+def _synthetic_capture(scale: Scale):
+    """Build ``scale.trace_packets`` packets carrying TLS record slices,
+    derive their wire views, and capture them in a
+    :class:`~repro.simnet.trace.TraceRecorder`: every 11th packet is a
+    client pure ACK, every 97th a retransmission, every 211th dropped.
     """
     from repro.simnet.middlebox import CLIENT_TO_SERVER, SERVER_TO_CLIENT
     from repro.simnet.packet import HEADER_OVERHEAD, Packet
@@ -156,10 +156,46 @@ def _run_packet_trace(scale: Scale) -> int:
                         created_at=now)
         recorder(now, SERVER_TO_CLIENT, packet.wire_view(),
                  i % 211 == 210)
+    return recorder
+
+
+def _run_packet_trace(scale: Scale) -> int:
+    """The middlebox transit cost: the synthetic capture, then the
+    trace's record reassembly and retransmission queries the adversary
+    runs."""
+    from repro.simnet.middlebox import SERVER_TO_CLIENT
+
+    recorder = _synthetic_capture(scale)
     completed = recorder.completed_records(SERVER_TO_CLIENT)
     retx_packets = recorder.retransmitted_packets(SERVER_TO_CLIENT)
     app = recorder.application_packets(SERVER_TO_CLIENT)
     return scale.trace_packets + len(completed) + len(retx_packets) + len(app)
+
+
+# -- trace_export: the offline adversary's capture round trip ---------------
+
+def _run_trace_export(scale: Scale) -> int:
+    """The start of the adversary pipeline replayed from a capture: the
+    ``packet_trace`` synthetic capture written with ``save_trace`` to a
+    temporary directory, read back with ``load_trace`` and reassembled
+    into records in both directions.  The event count is packets loaded
+    plus records reassembled.
+    """
+    import tempfile
+    from pathlib import Path
+
+    from repro.simnet.export import load_trace, save_trace
+    from repro.simnet.middlebox import CLIENT_TO_SERVER, SERVER_TO_CLIENT
+
+    recorder = _synthetic_capture(scale)
+    with tempfile.TemporaryDirectory(prefix="repro-bench-") as workdir:
+        path = Path(workdir) / "capture.jsonl"
+        save_trace(recorder, path)
+        loaded = load_trace(path)
+    records = sum(len(loaded.completed_records(direction, content_type))
+                  for direction in (SERVER_TO_CLIENT, CLIENT_TO_SERVER)
+                  for content_type in (23, None))
+    return len(loaded) + records
 
 
 # -- tcp_reassembly: send-side slicing + receive-side reordering ------------
@@ -474,6 +510,9 @@ def workloads() -> Tuple[Workload, ...]:
         Workload("packet_trace", 1,
                  "packet construction, wire views and trace capture",
                  _run_packet_trace),
+        Workload("trace_export", 1,
+                 "capture save/load round trip + record reassembly",
+                 _run_trace_export),
         Workload("tcp_reassembly", 1,
                  "TCP send-buffer slicing + out-of-order reassembly",
                  _run_tcp_reassembly),

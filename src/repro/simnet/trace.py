@@ -13,11 +13,17 @@ telemetry the session runner reads after every run is O(1) instead of a
 full-trace scan.  ``CapturedPacket`` remains the *view* type: accessor
 methods materialize it lazily for analysis code, which runs once per
 session rather than once per packet.
+
+Record reassembly is memoized: the estimator, the feature extractor and
+the replay each ask for the same ``completed_records`` of one capture.
+Because the recorder is append-only, a cached result stays valid until
+the packet count changes; the cache is stamped with that count and
+dropped whole when it moves (or on :meth:`TraceRecorder.clear`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.simnet.packet import WireView
 
@@ -54,7 +60,7 @@ class TraceRecorder:
     """Accumulates captured packets and derives record-level views."""
 
     __slots__ = ("include_dropped", "_times", "_directions", "_views",
-                 "_dropped", "_retransmits")
+                 "_dropped", "_retransmits", "_records", "_records_len")
 
     def __init__(self, include_dropped: bool = True):
         self.include_dropped = include_dropped
@@ -65,6 +71,11 @@ class TraceRecorder:
         #: direction -> retransmitted-packet count (dropped included),
         #: maintained at append time for O(1) session telemetry.
         self._retransmits: dict = {}
+        #: (direction, content_type) -> reassembled records, valid while
+        #: the packet count equals ``_records_len``.
+        self._records: Dict[Tuple[str, Optional[int]],
+                            List[CompletedRecord]] = {}
+        self._records_len = 0
 
     # The middlebox tap signature.
     def __call__(self, now: float, direction: str, view: WireView, dropped: bool) -> None:
@@ -88,6 +99,7 @@ class TraceRecorder:
         self._views.clear()
         self._dropped.clear()
         self._retransmits.clear()
+        self._records.clear()
 
     def packets(self, direction: Optional[str] = None,
                 include_dropped: bool = False) -> List[CapturedPacket]:
@@ -116,7 +128,22 @@ class TraceRecorder:
         final slice.  Retransmitted duplicate slices of an already
         completed record start a fresh logical record, mirroring what a
         sniffer tracking the byte stream sees as duplicated spans.
+
+        Returns a fresh list each call; the reassembly itself is cached
+        until the next packet is captured.
         """
+        if self._records_len != len(self._times):
+            self._records.clear()
+            self._records_len = len(self._times)
+        key = (direction, content_type)
+        records = self._records.get(key)
+        if records is None:
+            records = self._records[key] = self._reassemble(direction,
+                                                            content_type)
+        return list(records)
+
+    def _reassemble(self, direction: str,
+                    content_type: Optional[int]) -> List[CompletedRecord]:
         open_records: dict = {}
         completed: List[CompletedRecord] = []
         for time, d, view, dropped in zip(self._times, self._directions,

@@ -137,6 +137,102 @@ def test_recorder_count_predicate():
     assert recorder.count(lambda p: p.time > 1.5) == 2
 
 
+def _records_recorder():
+    """Two complete app-data records and one handshake record server to
+    client, one app-data record client to server."""
+    recorder = TraceRecorder()
+    recorder(1.0, SERVER_TO_CLIENT, seg_packet(app_record(500)).wire_view(),
+             False)
+    recorder(1.1, SERVER_TO_CLIENT, seg_packet(TlsRecord(
+        content_type=HANDSHAKE, payload_len=300)).wire_view(), False)
+    recorder(1.2, SERVER_TO_CLIENT, seg_packet(app_record(900)).wire_view(),
+             False)
+    recorder(1.3, CLIENT_TO_SERVER, seg_packet(
+        app_record(80), src="client", dst="server").wire_view(), False)
+    return recorder
+
+
+def test_completed_records_memo_returns_fresh_lists():
+    recorder = _records_recorder()
+    first = recorder.completed_records(SERVER_TO_CLIENT)
+    second = recorder.completed_records(SERVER_TO_CLIENT)
+    assert first == second and len(first) == 2
+    assert first is not second
+    first.clear()
+    second.append("junk")
+    third = recorder.completed_records(SERVER_TO_CLIENT)
+    assert len(third) == 2 and "junk" not in third
+
+
+def test_completed_records_memo_sees_appends():
+    recorder = _records_recorder()
+    before = recorder.completed_records(SERVER_TO_CLIENT)
+    recorder(2.0, SERVER_TO_CLIENT, seg_packet(app_record(700)).wire_view(),
+             False)
+    after = recorder.completed_records(SERVER_TO_CLIENT)
+    assert after[:len(before)] == before
+    assert len(after) == len(before) + 1
+    assert after[-1].wire_len == app_record(700).wire_len
+    assert after[-1].end_time > before[-1].end_time
+    # A dropped packet is never reassembled, but it still invalidates.
+    recorder(2.1, SERVER_TO_CLIENT, seg_packet(app_record(700)).wire_view(),
+             True)
+    assert recorder.completed_records(SERVER_TO_CLIENT) == after
+
+
+def test_completed_records_memo_cleared():
+    recorder = _records_recorder()
+    assert recorder.completed_records(SERVER_TO_CLIENT)
+    recorder.clear()
+    assert recorder.completed_records(SERVER_TO_CLIENT) == []
+    # Refill, unqueried, to the length the cache was stamped with.
+    recorder = _records_recorder()
+    assert len(recorder.completed_records(SERVER_TO_CLIENT)) == 2
+    recorder.clear()
+    for t in (1.0, 1.1, 1.2, 1.3):
+        recorder(t, SERVER_TO_CLIENT, seg_packet(app_record(60)).wire_view(),
+                 False)
+    assert [r.end_time for r in recorder.completed_records(
+        SERVER_TO_CLIENT)] == [1.0, 1.1, 1.2, 1.3]
+
+
+def test_completed_records_memo_keys_independent():
+    recorder = _records_recorder()
+    app = recorder.completed_records(SERVER_TO_CLIENT)
+    every = recorder.completed_records(SERVER_TO_CLIENT, content_type=None)
+    upstream = recorder.completed_records(CLIENT_TO_SERVER)
+    handshake = recorder.completed_records(SERVER_TO_CLIENT,
+                                           content_type=HANDSHAKE)
+    assert [r.content_type for r in app] == [APPLICATION_DATA] * 2
+    assert [r.content_type for r in every] == \
+        [APPLICATION_DATA, HANDSHAKE, APPLICATION_DATA]
+    assert [r.direction for r in upstream] == [CLIENT_TO_SERVER]
+    assert [r.content_type for r in handshake] == [HANDSHAKE]
+    assert recorder.completed_records(SERVER_TO_CLIENT) == app
+    # Asked first, without the other keys cached, it is the same.
+    fresh = TraceRecorder()
+    for captured in recorder.packets(include_dropped=True):
+        fresh(*captured)
+    assert fresh.completed_records(SERVER_TO_CLIENT, content_type=None) == \
+        every
+
+
+def test_completed_records_memo_holds_current_length_only():
+    recorder = TraceRecorder()
+    keys = ((SERVER_TO_CLIENT, 23), (SERVER_TO_CLIENT, None),
+            (CLIENT_TO_SERVER, 23))
+    for n in range(1, 13):
+        recorder(n * 0.1, SERVER_TO_CLIENT,
+                 seg_packet(app_record(100 + n)).wire_view(), False)
+        queried = keys[:n % len(keys) + 1]
+        for direction, content_type in queried:
+            recorder.completed_records(direction, content_type)
+        assert recorder._records_len == len(recorder) == n
+        assert sorted(recorder._records, key=repr) == \
+            sorted(queried, key=repr)
+        assert len(recorder.completed_records(SERVER_TO_CLIENT)) == n
+
+
 def test_topology_wiring():
     from repro.simnet.engine import Simulator
     from repro.simnet.topology import StandardTopology, TopologyConfig
