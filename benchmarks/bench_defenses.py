@@ -10,12 +10,12 @@ def test_defenses(benchmark, show):
         lambda: run_defenses(n_per_defense=n, runner=bench_runner()),
         rounds=1, iterations=1)
     show(result.table(), result.telemetry)
-    by_name = {o.name: o for o in result.outcomes}
+    by_name = {o.defense: o for o in result.points}
     undefended = by_name["none"].sequence_accuracy_pct
     assert undefended >= 60.0
     # Every defense collapses order recovery toward chance.
     for name in ("padding", "morphing", "random-order", "push", "batching"):
         assert by_name[name].sequence_accuracy_pct < undefended / 2, name
     # Defenses must not break the page itself.
-    for outcome in result.outcomes:
-        assert outcome.load_success_pct >= 80.0, outcome.name
+    for outcome in result.points:
+        assert outcome.load_success_pct >= 80.0, outcome.defense

@@ -15,12 +15,13 @@ def test_table2_prediction_accuracy(benchmark, show):
         lambda: run_table2(n_loads=n, runner=bench_runner()),
         rounds=1, iterations=1)
     show(result.table(), result.telemetry)
+    row = result.points[0]
     # Single-target: near-perfect on the images (paper: 100 %).
-    assert all(pct >= 80.0 for pct in result.single_pct[1:])
+    assert all(pct >= 80.0 for pct in row.single_pct[1:])
     # All-objects: the image sequence is recovered in the large
     # majority of loads (paper: 62-90 %).
-    assert all(pct >= 60.0 for pct in result.all_pct[1:])
+    assert all(pct >= 60.0 for pct in row.all_pct[1:])
     # The HTML is recovered in the majority of loads (paper: 90 %).
-    assert result.all_pct[0] >= 50.0
+    assert row.all_pct[0] >= 50.0
     # Who wins is unambiguous: far above the 12.5 % order-guess chance.
-    assert min(result.all_pct[1:]) > 40.0
+    assert min(row.all_pct[1:]) > 40.0

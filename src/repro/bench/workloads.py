@@ -10,14 +10,21 @@ path and has to be re-baselined deliberately.
 
 No workload reads the wall clock (that is :mod:`repro.bench.measure`'s
 job) and none touches ambient state: the linter's DET/CACHE families
-apply here exactly as they do to experiment cells.
+apply here exactly as they do to experiment cells.  The one input from
+outside is the frozen source snapshot the ``lint`` and ``taint`` topics
+analyse (:data:`CORPUS`), read-only.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import random
+import tarfile
+import tempfile
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from pathlib import Path
+from typing import Callable, Iterator, Optional, Tuple
 
 #: Bump a workload's ``version`` whenever its definition changes shape
 #: (different op mix, different seeds, different scale fields): compare
@@ -296,64 +303,83 @@ def _run_hpack(scale: Scale) -> int:
     return ops
 
 
-# -- lint: the whole-program analyzer over its own source -------------------
+# -- lint: the whole-program analyzer over a frozen copy of the package -----
+
+#: A frozen snapshot of the ``repro`` package (the one perfbench's
+#: ``lint_selfcheck`` analyses).  The ``lint`` and ``taint`` topics read
+#: it instead of the live package, so their counts move only when the
+#: analyzer changes, not with every edit to the source it analyses.
+CORPUS = (Path(__file__).resolve().parents[3] / "perfbench" / "corpus"
+          / "repro-src.tar.gz")
+
+
+@contextlib.contextmanager
+def _frozen_package() -> Iterator[str]:
+    """The corpus's ``repro`` package, unpacked into a temporary
+    directory for the duration of the block."""
+    with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
+        with tarfile.open(CORPUS) as archive:
+            if hasattr(tarfile, "data_filter"):
+                archive.extractall(tmp, filter="data")
+            else:  # Python < 3.10.12 has no extraction filters
+                archive.extractall(tmp)
+        yield os.path.join(tmp, "repro")
+
 
 def _run_lint(scale: Scale) -> int:
-    """A full analyzer pass over the installed ``repro`` package (the
+    """A full analyzer pass over the frozen package snapshot (the
     self-check workload), plus an explicit sweep of the flow-sensitive
     core: build every function's CFG and solve dominators and reaching
     definitions on it.  The event count is files + findings + blocks +
-    solved facts -- a pure function of the committed source tree, so
-    any drift in it means the analyzer or the tree changed shape.
+    solved facts -- a pure function of the analyzer, since its input
+    is frozen.
     """
     from repro.lint.cfg import build_cfg
-    from repro.lint.cli import package_root
     from repro.lint.dataflow import dominators, reaching_definitions
     from repro.lint.engine import build_project, lint_paths, load_contexts
 
-    root = package_root()
     events = 0
-    for _ in range(scale.lint_passes):
-        report = lint_paths([root])
-        events += report.files_checked + len(report.findings)
-        project = build_project(load_contexts([root]))
-        for key in sorted(project.functions):
-            fn = project.functions[key]
-            cfg = build_cfg(fn.node)
-            events += len(cfg.blocks)
-            events += sum(len(doms) for doms
-                          in dominators(cfg).values())
-            events += len(reaching_definitions(cfg, fn.node))
+    with _frozen_package() as root:
+        for _ in range(scale.lint_passes):
+            report = lint_paths([root])
+            events += report.files_checked + len(report.findings)
+            project = build_project(load_contexts([root]))
+            for key in sorted(project.functions):
+                fn = project.functions[key]
+                cfg = build_cfg(fn.node)
+                events += len(cfg.blocks)
+                events += sum(len(doms) for doms
+                              in dominators(cfg).values())
+                events += len(reaching_definitions(cfg, fn.node))
     return events
 
 
-# -- taint: the interprocedural LEAK pass over the package ------------------
+# -- taint: the interprocedural LEAK pass over the frozen package ----------
 
 def _run_taint(scale: Scale) -> int:
     """The full interprocedural taint pass (every LEAK rule) over the
-    installed ``repro`` package: summary fixpoints over the adversary
-    and defense call graphs plus the tap-passivity sweep.  The event
-    count is analyzed functions + summary rounds' worth of flow facts +
-    findings -- a pure function of the committed tree, so drift means
-    the analyzer or the boundary changed shape.
+    frozen package snapshot: summary fixpoints over the adversary and
+    defense call graphs plus the tap-passivity sweep.  The event count
+    is analyzed functions + summary rounds' worth of flow facts +
+    findings -- a pure function of the analyzer, so drift means the
+    analyzer or its boundary specs changed shape.
     """
-    from repro.lint.cli import package_root
     from repro.lint.engine import build_project, load_contexts
     from repro.lint.taint import (LEAK_SPECS, _relevant_functions,
                                   _sink_functions, check_taint)
 
-    root = package_root()
     events = 0
-    for _ in range(scale.taint_passes):
-        project = build_project(load_contexts([root]))
-        findings = check_taint(
-            project, {spec.code for spec in LEAK_SPECS} | {"LEAK003"})
-        events += len(findings)
-        for spec in LEAK_SPECS:
-            sinks = _sink_functions(project, spec)
-            events += len(sinks)
-            events += len(_relevant_functions(project, sinks))
-        events += sum(len(finding.trace) for finding in findings)
+    with _frozen_package() as root:
+        for _ in range(scale.taint_passes):
+            project = build_project(load_contexts([root]))
+            findings = check_taint(
+                project, {spec.code for spec in LEAK_SPECS} | {"LEAK003"})
+            events += len(findings)
+            for spec in LEAK_SPECS:
+                sinks = _sink_functions(project, spec)
+                events += len(sinks)
+                events += len(_relevant_functions(project, sinks))
+            events += sum(len(finding.trace) for finding in findings)
     return events
 
 
@@ -519,10 +545,10 @@ def workloads() -> Tuple[Workload, ...]:
         Workload("hpack", 1,
                  "HPACK encode/decode with dynamic-table churn",
                  _run_hpack),
-        Workload("lint", 1,
+        Workload("lint", 2,
                  "whole-program analyzer self-check + CFG/dataflow sweep",
                  _run_lint),
-        Workload("taint", 1,
+        Workload("taint", 2,
                  "interprocedural LEAK taint pass over the package",
                  _run_taint),
         Workload("runner_dispatch", 2,

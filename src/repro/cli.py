@@ -10,22 +10,44 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.experiments import (defenses_eval, dos_eval, drops, faults_eval,
+                               figure5, table1, table2)
+
+#: The runner-backed subcommands: one declared
+#: :class:`~repro.experiments.experiment.Experiment` each, in help order.
+EXPERIMENTS = {module.EXPERIMENT.command: module.EXPERIMENT for module in (
+    table1, figure5, drops, table2, defenses_eval, faults_eval, dos_eval)}
+
+
+def _bounded(kind, low, inclusive: bool = True):
+    """An argparse ``type`` that turns a value below ``low`` (or at it,
+    unless ``inclusive``) into a usage error."""
+    def parse(text: str):
+        value = kind(text)
+        if not (value >= low if inclusive else value > low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>=' if inclusive else '>'} {low}, got {text}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_positive_int = _bounded(int, 1)
+_non_negative_int = _bounded(int, 0)
+_positive_float = _bounded(float, 0, inclusive=False)
+
 
 def _add_common(parser: argparse.ArgumentParser, default_n: int) -> None:
-    parser.add_argument("-n", "--loads", type=int, default=default_n,
+    parser.add_argument("-n", "--loads", type=_positive_int,
+                        default=default_n,
                         help=f"loads per measurement point "
                              f"(default {default_n}; the paper used 100)")
     parser.add_argument("--seed", type=int, default=0,
                         help="base seed (default 0)")
 
 
-#: Subcommands backed by the parallel runner (repro.experiments.runner).
-RUNNER_COMMANDS = ("table1", "figure5", "drops", "table2", "defenses",
-                   "faults", "dos")
-
-
 def _add_runner(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("-j", "--jobs", type=int, default=1,
+    parser.add_argument("-j", "--jobs", type=_positive_int, default=1,
                         help="worker processes for the experiment grid; "
                              "above 1 the grid runs on a supervised "
                              "persistent pool (heartbeats, crash respawn, "
@@ -37,13 +59,13 @@ def _add_runner(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-dir", default=None,
                         help="run-cache location (default $REPRO_CACHE_DIR "
                              "or ~/.cache/repro-runs)")
-    parser.add_argument("--cell-timeout", type=float, default=None,
+    parser.add_argument("--cell-timeout", type=_positive_float, default=None,
                         metavar="SECONDS",
                         help="wall-clock deadline per grid cell; a cell "
                              "that overruns is killed and marked failed. "
                              "Runs the grid on the worker pool even at "
                              "--jobs 1 (default: none)")
-    parser.add_argument("--retries", type=int, default=0,
+    parser.add_argument("--retries", type=_non_negative_int, default=0,
                         help="extra attempts for a crashed/hung/raising "
                              "cell, with exponential backoff (default 0)")
     parser.add_argument("--ledger", default=None, metavar="FILE",
@@ -75,24 +97,17 @@ def build_parser() -> argparse.ArgumentParser:
                             help="run one attacked survey load (quickstart)")
     attack.add_argument("--seed", type=int, default=7)
 
-    for name, default_n, help_text in (
-            ("baseline", 40, "E1: baseline multiplexing (no adversary)"),
-            ("table1", 30, "E2: Table I jitter sweep"),
-            ("figure5", 20, "E3: Fig. 5 bandwidth sweep"),
-            ("drops", 25, "E4: Section IV-D drop burst"),
-            ("table2", 40, "E5: Table II attack accuracy"),
-            ("defenses", 15, "E7b: defenses evaluation"),
-            ("faults", 20, "EF: attack success under injected faults"),
-            ("dos", 2, "DOS: slow-HTTP/2 attacks vs hardening vs "
-                       "detection"),
-    ):
-        cmd = sub.add_parser(name, help=help_text)
-        _add_common(cmd, default_n)
-        if name in RUNNER_COMMANDS:
-            _add_runner(cmd)
-        if name == "table1":
-            cmd.add_argument("--style", choices=("spacing", "netem"),
-                             default="spacing")
+    baseline = sub.add_parser(
+        "baseline", help="E1: baseline multiplexing (no adversary)")
+    _add_common(baseline, 40)
+
+    for experiment in EXPERIMENTS.values():
+        cmd = sub.add_parser(experiment.command, help=experiment.help)
+        _add_common(cmd, experiment.default_n)
+        _add_runner(cmd)
+        for option, choices in experiment.flags:
+            cmd.add_argument(f"--{option}", choices=choices,
+                             default=experiment.defaults[option])
 
     sub.add_parser("size-estimation", help="E6: Fig. 1 micro-benchmark")
 
@@ -169,37 +184,24 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.experiments.chaos import run_chaos_command
         return run_chaos_command(args, runner_options(args))
 
+    experiment = EXPERIMENTS.get(args.command)
+    if experiment is not None:
+        options = {option: getattr(args, option)
+                   for option, _ in experiment.flags}
+        result = experiment.run(base_seed=args.seed,
+                                runner=runner_options(args),
+                                **{experiment.count: args.loads}, **options)
+        print(result.table().to_text())
+        for line in result.verdict_lines():
+            print(line)
+        for failure in result.failures:
+            print(f"failed cell: {failure}")
+        print(result.telemetry.line())
+        return 0
+
     if args.command == "baseline":
         from repro.experiments.baseline import run_baseline
         result = run_baseline(n_loads=args.loads, base_seed=args.seed)
-    elif args.command == "table1":
-        from repro.experiments.table1 import run_table1
-        result = run_table1(n_per_point=args.loads, base_seed=args.seed,
-                            style=args.style, runner=runner_options(args))
-    elif args.command == "figure5":
-        from repro.experiments.figure5 import run_figure5
-        result = run_figure5(n_per_point=args.loads, base_seed=args.seed,
-                             runner=runner_options(args))
-    elif args.command == "drops":
-        from repro.experiments.drops import run_drops
-        result = run_drops(n_per_point=args.loads, base_seed=args.seed,
-                           runner=runner_options(args))
-    elif args.command == "table2":
-        from repro.experiments.table2 import run_table2
-        result = run_table2(n_loads=args.loads, base_seed=args.seed,
-                            runner=runner_options(args))
-    elif args.command == "defenses":
-        from repro.experiments.defenses_eval import run_defenses
-        result = run_defenses(n_per_defense=args.loads, base_seed=args.seed,
-                              runner=runner_options(args))
-    elif args.command == "faults":
-        from repro.experiments.faults_eval import run_faults_eval
-        result = run_faults_eval(n_per_point=args.loads, base_seed=args.seed,
-                                 runner=runner_options(args))
-    elif args.command == "dos":
-        from repro.experiments.dos_eval import run_dos_eval
-        result = run_dos_eval(n_per_point=args.loads, base_seed=args.seed,
-                              runner=runner_options(args))
     elif args.command == "size-estimation":
         from repro.experiments.size_estimation import run_size_estimation
         result = run_size_estimation()
@@ -217,15 +219,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         raise SystemExit(2)
 
     print(result.table().to_text())
-    verdicts = getattr(result, "verdict_lines", None)
-    if verdicts is not None:
-        for line in verdicts():
-            print(line)
-    for failure in getattr(result, "failures", ()) or ():
-        print(f"failed cell: {failure}")
-    telemetry = getattr(result, "telemetry", None)
-    if telemetry is not None:
-        print(telemetry.line())
     return 0
 
 

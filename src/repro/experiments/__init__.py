@@ -5,6 +5,10 @@ One module per paper artefact (see DESIGN.md's per-experiment index):
 * :mod:`repro.experiments.session` -- shared single-session runner.
 * :mod:`repro.experiments.runner` -- parallel grid runner with an
   on-disk result cache (see docs/EXPERIMENTS_GUIDE.md).
+* :mod:`repro.experiments.experiment` -- the declarative sweep: grid
+  axes, cell, folds and paper reference of each runner-backed
+  artefact below, run and tabulated by one generic
+  :meth:`~repro.experiments.experiment.Experiment.run`.
 * :mod:`repro.experiments.workers` -- supervised persistent worker
   pool: heartbeats, crash respawn, poison-cell quarantine (see
   docs/RUNNER.md).

@@ -7,61 +7,19 @@ reports how much of the preference order survives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
-
 from repro.core.phases import AttackConfig
 from repro.defenses.morphing import MorphingDefense
 from repro.defenses.padding import bucket_padding
 from repro.defenses.push import push_client_settings, push_defense_server_config
 from repro.defenses.random_order import shuffle_scripted_requests
 from repro.experiments.evaluation import sequence_accuracy
-from repro.experiments.results import ResultTable
-from repro.experiments.runner import (
-    GridTelemetry,
-    RunnerOptions,
-    RunSpec,
-)
+from repro.experiments.experiment import Column, Experiment, pct
 from repro.experiments.session import SessionConfig, run_session
 from repro.http2.server import Http2ServerConfig
-from repro.website.isidewith import (
-    HTML_PATH,
-    PARTY_IMAGE_SIZES,
-    build_isidewith_site,
-)
+from repro.website.isidewith import PARTY_IMAGE_SIZES, build_isidewith_site
 
 #: Runner cell for one (seed, defense) grid point.
 CELL = "repro.experiments.defenses_eval:run_cell"
-
-
-@dataclass
-class DefenseOutcome:
-    """Attack effectiveness under one defense."""
-
-    name: str
-    sequence_accuracy_pct: float
-    html_identified_pct: float
-    load_success_pct: float
-
-
-@dataclass
-class DefensesResult:
-    """All defenses side by side."""
-
-    n_per_defense: int
-    outcomes: List[DefenseOutcome]
-    telemetry: Optional[GridTelemetry] = None
-
-    def table(self) -> ResultTable:
-        table = ResultTable(
-            "E7b: attack vs defenses (sequence recovery)",
-            ["defense", "order recovered (%)", "HTML identified (%)",
-             "page loads ok (%)"])
-        for outcome in self.outcomes:
-            table.add_row(outcome.name, outcome.sequence_accuracy_pct,
-                          outcome.html_identified_pct,
-                          outcome.load_success_pct)
-        return table
 
 
 def _session_config(seed: int, defense: str) -> SessionConfig:
@@ -112,30 +70,23 @@ def run_cell(seed: int, defense: str) -> dict:
     }
 
 
-def run_defenses(n_per_defense: int = 30, base_seed: int = 0,
-                 defenses: Sequence[str] = DEFENSES,
-                 runner: RunnerOptions = RunnerOptions()) -> DefensesResult:
-    """Run the attack under each defense."""
-    specs = [RunSpec.make(CELL, base_seed + i, defense=defense)
-             for defense in defenses for i in range(n_per_defense)]
-    grid = runner.run(specs)
+EXPERIMENT = Experiment(
+    command="defenses", help="E7b: defenses evaluation", default_n=15,
+    title=lambda s: "E7b: attack vs defenses (sequence recovery)",
+    cell=CELL, count="n_per_defense",
+    defaults={"n_per_defense": 30, "defenses": DEFENSES},
+    axes=lambda s: dict(defense=tuple(s.defenses), seeds=s.seeds),
+    rows=("defense",),
+    columns=(
+        Column("defense", "defense"),
+        Column("order recovered (%)", "sequence_accuracy_pct",
+               pct("sequence_accuracy")),
+        Column("HTML identified (%)", "html_identified_pct",
+               pct("html_identified")),
+        Column("page loads ok (%)", "load_success_pct", pct("load_ok")),
+    ),
+)
 
-    by_defense: Dict[str, List[dict]] = {d: [] for d in defenses}
-    for result in grid:
-        by_defense[result.spec.kwargs()["defense"]].append(result.metrics)
 
-    outcomes: List[DefenseOutcome] = []
-    for defense in defenses:
-        cells = by_defense[defense]
-        outcomes.append(DefenseOutcome(
-            name=defense,
-            sequence_accuracy_pct=100.0 * sum(c["sequence_accuracy"]
-                                              for c in cells)
-                                  / n_per_defense,
-            html_identified_pct=100.0 * sum(c["html_identified"]
-                                            for c in cells) / n_per_defense,
-            load_success_pct=100.0 * sum(c["load_ok"]
-                                         for c in cells) / n_per_defense,
-        ))
-    return DefensesResult(n_per_defense=n_per_defense, outcomes=outcomes,
-                          telemetry=GridTelemetry().add(grid))
+#: Run the attack under each defense.
+run_defenses = EXPERIMENT.run

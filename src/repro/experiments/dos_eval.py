@@ -24,17 +24,12 @@ the cache key like a fault plan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.attacks import ATTACK_KINDS, AttackSpec, make_agent
 from repro.browser.browser import Browser, BrowserConfig
-from repro.experiments.results import ResultTable
-from repro.experiments.runner import (
-    GridTelemetry,
-    RunnerOptions,
-    RunSpec,
-)
+from repro.experiments.experiment import (OK_CELLS, Check, Column, Experiment,
+                                          mean, mean_present, pct)
 from repro.http2.client import Http2Client, Http2ClientConfig
 from repro.http2.server import Http2Server, Http2ServerConfig
 from repro.invariants import DosDetector
@@ -210,140 +205,76 @@ def run_cell(seed: int, kind: str, profile: str, intensity: float,
     }
 
 
-@dataclass
-class DosPoint:
-    """Aggregates at one (kind, profile, intensity) grid point."""
-
-    kind: str
-    profile: str
-    intensity: float
-    mean_goodput_pct: float
-    detected_pct: float
-    mean_detect_latency_s: Optional[float]
-    exhausted_pct: float
-    mean_shed: float
-    mean_reaped: float
-    n_ok: int
-    n_cells: int
+def _tally(test: Callable[[Any], bool], none: bool = False):
+    """Judge: how many rows in scope pass ``test``; the check passes
+    when all of them do (or, with ``none``, when none does)."""
+    def judge(rows: List[Any]) -> Tuple[bool, str]:
+        hits = sum(1 for row in rows if test(row))
+        return hits == (0 if none else len(rows)), f"{hits}/{len(rows)}"
+    return judge
 
 
-@dataclass
-class DosEvalResult:
-    """Attack kind x intensity x server-profile sweep."""
-
-    n_per_point: int
-    intensities: Tuple[float, ...]
-    points: List[DosPoint]
-    #: ``"kind=K profile=P intensity=I seed=S: reason"`` per failed cell.
-    failures: List[str]
-    telemetry: Optional[GridTelemetry] = None
-
-    def table(self) -> ResultTable:
-        table = ResultTable(
-            "DOS: slow-HTTP/2 attacks vs hardening vs detection",
-            ["kind", "profile", "intensity", "goodput (%)", "detected (%)",
-             "latency (s)", "exhausted (%)", "shed", "reaped", "ok cells"])
-        for point in self.points:
-            table.add_row(
-                point.kind, point.profile, point.intensity,
-                point.mean_goodput_pct, point.detected_pct,
-                (point.mean_detect_latency_s
-                 if point.mean_detect_latency_s is not None else "-"),
-                point.exhausted_pct, point.mean_shed, point.mean_reaped,
-                f"{point.n_ok}/{point.n_cells}")
-        return table
-
-    def verdict_lines(self) -> List[str]:
-        """Greppable pass/fail summary (the CI dos-smoke contract)."""
-        top = max(self.intensities) if self.intensities else 0.0
-        attack = [p for p in self.points if p.kind != CONTROL_KIND]
-        controls = [p for p in self.points if p.kind == CONTROL_KIND]
-
-        flagged = [p for p in attack if p.detected_pct >= 100.0]
-        false_pos = [p for p in controls if p.detected_pct > 0.0]
-        hardened = [p for p in attack if p.profile == "hardened"]
-        min_goodput = min((p.mean_goodput_pct for p in hardened),
-                          default=0.0)
-        exhaust = [p for p in attack
-                   if p.profile == "open" and p.intensity == top]
-        exhausted = [p for p in exhaust if p.exhausted_pct >= 100.0]
-
-        lines = []
-        lines.append(
-            f"dos: attack cells flagged: "
-            f"{'ALL' if len(flagged) == len(attack) else 'MISSING'} "
-            f"({len(flagged)}/{len(attack)})")
-        lines.append(
-            f"dos: control false positives: "
-            f"{'NONE' if not false_pos else 'FOUND'} "
-            f"({len(false_pos)}/{len(controls)})")
-        lines.append(
-            f"dos: hardened goodput >= 90%: "
-            f"{'PASS' if min_goodput >= 90.0 else 'FAIL'} "
-            f"(min {min_goodput:.1f}%)")
-        lines.append(
-            f"dos: unhardened exhaustion: "
-            f"{'ALL' if len(exhausted) == len(exhaust) else 'MISSING'} "
-            f"({len(exhausted)}/{len(exhaust)})")
-        return lines
+def _min_goodput(rows: List[Any]) -> Tuple[bool, str]:
+    low = min((row.mean_goodput_pct for row in rows), default=0.0)
+    return low >= 90.0, f"min {low:.1f}%"
 
 
-def run_dos_eval(n_per_point: int = 2, base_seed: int = 0,
-                 kinds: Sequence[str] = ATTACK_KINDS,
-                 intensities: Sequence[float] = (0.5, 1.0),
-                 profiles: Sequence[str] = PROFILES,
-                 runner: RunnerOptions = RunnerOptions()) -> DosEvalResult:
-    """Sweep attack kind x intensity x profile, plus slow-client controls."""
-    specs = []
-    for profile in profiles:
-        for i in range(n_per_point):
-            seed = base_seed + i
-            specs.append(RunSpec.make(CELL, seed, kind=CONTROL_KIND,
-                                      profile=profile, intensity=0.0,
-                                      attack=None))
-            for kind in kinds:
-                for intensity in intensities:
-                    spec = attack_spec(kind, intensity)
-                    specs.append(RunSpec.make(
-                        CELL, seed, kind=kind, profile=profile,
-                        intensity=intensity,
-                        attack=spec.to_jsonable()))
-    grid = runner.run(specs, strict=False)
+def _attack(row: Any, settings: Any) -> bool:
+    return row.kind != CONTROL_KIND
 
-    by_point: Dict[Tuple[str, str, float], List[dict]] = {}
-    attempted: Dict[Tuple[str, str, float], int] = {}
-    failures: List[str] = []
-    for result in grid:
-        kwargs = result.spec.kwargs()
-        key = (kwargs["kind"], kwargs["profile"], kwargs["intensity"])
-        attempted[key] = attempted.get(key, 0) + 1
-        if result.failed:
-            failures.append(f"kind={key[0]} profile={key[1]} "
-                            f"intensity={key[2]} "
-                            f"seed={result.spec.seed}: {result.error}")
-        else:
-            by_point.setdefault(key, []).append(result.metrics)
 
-    points: List[DosPoint] = []
-    for key in sorted(attempted):
-        kind, profile, intensity = key
-        cells = by_point.get(key, [])
-        n = max(1, len(cells))
-        latencies = [c["detect_latency_s"] for c in cells
-                     if c["detect_latency_s"] is not None]
-        points.append(DosPoint(
-            kind=kind, profile=profile, intensity=intensity,
-            mean_goodput_pct=sum(c["goodput_pct"] for c in cells) / n,
-            detected_pct=100.0 * sum(c["detected"] for c in cells) / n,
-            mean_detect_latency_s=(sum(latencies) / len(latencies)
-                                   if latencies else None),
-            exhausted_pct=100.0 * sum(c["exhausted"] for c in cells) / n,
-            mean_shed=sum(c["shed_connections"] for c in cells) / n,
-            mean_reaped=sum(c["reaped_connections"] for c in cells) / n,
-            n_ok=len(cells),
-            n_cells=attempted[key],
-        ))
-    return DosEvalResult(n_per_point=n_per_point,
-                         intensities=tuple(intensities),
-                         points=points, failures=failures,
-                         telemetry=GridTelemetry().add(grid))
+EXPERIMENT = Experiment(
+    command="dos",
+    help="DOS: slow-HTTP/2 attacks vs hardening vs detection",
+    default_n=2,
+    title=lambda s: "DOS: slow-HTTP/2 attacks vs hardening vs detection",
+    cell=CELL,
+    defaults={"n_per_point": 2, "kinds": ATTACK_KINDS,
+              "intensities": (0.5, 1.0), "profiles": PROFILES},
+    # Per profile and seed: the slow-client control, then every attack.
+    axes=lambda s: dict(
+        profile=tuple(s.profiles), seeds=s.seeds,
+        kind=(CONTROL_KIND, *s.kinds),
+        intensity=lambda p: ((0.0,) if p["kind"] == CONTROL_KIND
+                             else tuple(s.intensities)),
+        attack=lambda p: [None if p["kind"] == CONTROL_KIND else attack_spec(
+            p["kind"], p["intensity"]).to_jsonable()]),
+    rows=("kind", "profile", "intensity"),
+    columns=(
+        Column("kind", "kind"),
+        Column("profile", "profile"),
+        Column("intensity", "intensity"),
+        Column("goodput (%)", "mean_goodput_pct", mean("goodput_pct")),
+        Column("detected (%)", "detected_pct", pct("detected")),
+        Column("latency (s)", "mean_detect_latency_s",
+               mean_present("detect_latency_s", None),
+               show=lambda latency: "-" if latency is None else latency),
+        Column("exhausted (%)", "exhausted_pct", pct("exhausted")),
+        Column("shed", "mean_shed", mean("shed_connections")),
+        Column("reaped", "mean_reaped", mean("reaped_connections")),
+        OK_CELLS,
+    ),
+    strict=False,
+    sort_rows=True,
+    # The greppable pass/fail summary (the CI dos-smoke contract).
+    checks=(
+        Check("attack cells flagged", _attack,
+              _tally(lambda row: row.detected_pct >= 100.0)),
+        Check("control false positives",
+              lambda row, s: not _attack(row, s),
+              _tally(lambda row: row.detected_pct > 0.0, none=True),
+              words=("NONE", "FOUND")),
+        Check("hardened goodput >= 90%",
+              lambda row, s: _attack(row, s) and row.profile == "hardened",
+              _min_goodput, words=("PASS", "FAIL")),
+        Check("unhardened exhaustion",
+              lambda row, s: (_attack(row, s) and row.profile == "open"
+                              and row.intensity == max(s.intensities,
+                                                       default=0.0)),
+              _tally(lambda row: row.exhausted_pct >= 100.0)),
+    ),
+)
+
+
+#: Sweep attack kind x intensity x profile, plus slow-client controls.
+run_dos_eval = EXPERIMENT.run

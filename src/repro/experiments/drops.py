@@ -9,52 +9,15 @@ higher breaks the connection instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from dataclasses import replace
 
 from repro.core.phases import AttackConfig
-from repro.experiments.results import ResultTable
-from repro.experiments.runner import (
-    GridTelemetry,
-    RunnerOptions,
-    RunSpec,
-)
+from repro.experiments.experiment import Column, Experiment, pct
 from repro.experiments.session import SessionConfig, run_session
 from repro.website.isidewith import HTML_PATH
 
 #: Runner cell for one (seed, drop rate) grid point.
 CELL = "repro.experiments.drops:run_cell"
-
-
-@dataclass
-class DropPoint:
-    """Measurements at one drop rate."""
-
-    drop_rate: float
-    html_serialized_pct: float
-    html_identified_pct: float
-    reset_happened_pct: float
-    broken_pct: float
-
-
-@dataclass
-class DropsResult:
-    """Drop-rate sweep around the paper's 80 % operating point."""
-
-    n_per_point: int
-    points: List[DropPoint]
-    telemetry: Optional[GridTelemetry] = None
-
-    def table(self) -> ResultTable:
-        table = ResultTable(
-            "E4 / Section IV-D: reset-forcing drop burst",
-            ["drop rate (%)", "HTML serialized (%)", "HTML identified (%)",
-             "client reset (%)", "broken (%)"])
-        for point in self.points:
-            table.add_row(point.drop_rate * 100, point.html_serialized_pct,
-                          point.html_identified_pct,
-                          point.reset_happened_pct, point.broken_pct)
-        return table
 
 
 def run_cell(seed: int, drop_rate: float) -> dict:
@@ -73,30 +36,24 @@ def run_cell(seed: int, drop_rate: float) -> dict:
     }
 
 
-def run_drops(n_per_point: int = 100, base_seed: int = 0,
-              drop_rates: Sequence[float] = (0.5, 0.8, 0.95),
-              runner: RunnerOptions = RunnerOptions()) -> DropsResult:
-    """Sweep the drop rate; 0.8 is the paper's setting."""
-    specs = [RunSpec.make(CELL, base_seed + i, drop_rate=rate)
-             for rate in drop_rates for i in range(n_per_point)]
-    grid = runner.run(specs)
+EXPERIMENT = Experiment(
+    command="drops", help="E4: Section IV-D drop burst", default_n=25,
+    title=lambda s: "E4 / Section IV-D: reset-forcing drop burst",
+    cell=CELL,
+    defaults={"n_per_point": 100, "drop_rates": (0.5, 0.8, 0.95)},
+    axes=lambda s: dict(drop_rate=tuple(s.drop_rates), seeds=s.seeds),
+    rows=("drop_rate",),
+    columns=(
+        Column("drop rate (%)", "drop_rate", show=lambda r: r * 100),
+        Column("HTML serialized (%)", "html_serialized_pct",
+               pct("serialized")),
+        Column("HTML identified (%)", "html_identified_pct",
+               pct("identified")),
+        Column("client reset (%)", "reset_happened_pct", pct("reset")),
+        Column("broken (%)", "broken_pct", pct("broken")),
+    ),
+)
 
-    by_rate: Dict[float, List[dict]] = {r: [] for r in drop_rates}
-    for result in grid:
-        by_rate[result.spec.kwargs()["drop_rate"]].append(result.metrics)
 
-    points: List[DropPoint] = []
-    for rate in drop_rates:
-        cells = by_rate[rate]
-        points.append(DropPoint(
-            drop_rate=rate,
-            html_serialized_pct=100.0 * sum(c["serialized"]
-                                            for c in cells) / n_per_point,
-            html_identified_pct=100.0 * sum(c["identified"]
-                                            for c in cells) / n_per_point,
-            reset_happened_pct=100.0 * sum(c["reset"]
-                                           for c in cells) / n_per_point,
-            broken_pct=100.0 * sum(c["broken"] for c in cells) / n_per_point,
-        ))
-    return DropsResult(n_per_point=n_per_point, points=points,
-                       telemetry=GridTelemetry().add(grid))
+#: Sweep the drop rate; 0.8 is the paper's setting.
+run_drops = EXPERIMENT.run

@@ -18,19 +18,14 @@ than aborting the sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Optional
 
 from repro.browser.browser import BrowserConfig
 from repro.core.phases import AttackConfig
-from repro.experiments.results import ResultTable
-from repro.faults import plan_for_intensity
-from repro.experiments.runner import (
-    GridTelemetry,
-    RunnerOptions,
-    RunSpec,
-)
+from repro.experiments.experiment import (OK_CELLS, Column, Experiment, mean,
+                                          mean_present, pct)
 from repro.experiments.session import SessionConfig, run_session
+from repro.faults import plan_for_intensity
 from repro.website.isidewith import HTML_PATH, HTML_SIZE
 
 #: Runner cell for one (seed, intensity) grid point.
@@ -39,49 +34,6 @@ CELL = "repro.experiments.faults_eval:run_cell"
 #: Fresh connections the browser may dial per session in this
 #: experiment (the recovery behaviour under test).
 MAX_RECONNECTS = 2
-
-
-@dataclass
-class FaultPoint:
-    """Aggregates at one fault intensity."""
-
-    intensity: float
-    html_serialized_pct: float
-    html_identified_pct: float
-    broken_pct: float
-    mean_reconnects: float
-    mean_stream_retries: float
-    #: Mean absolute error of the adversary's best HTML size estimate,
-    #: over the sessions where it produced any estimate at all.
-    mean_size_error_bytes: float
-    #: Successfully measured sessions / attempted sessions.
-    n_ok: int
-    n_cells: int
-
-
-@dataclass
-class FaultsEvalResult:
-    """Fault-intensity sweep of the attack pipeline."""
-
-    n_per_point: int
-    points: List[FaultPoint]
-    #: ``"intensity=I seed=S: reason"`` per permanently failed cell.
-    failures: List[str]
-    telemetry: Optional[GridTelemetry] = None
-
-    def table(self) -> ResultTable:
-        table = ResultTable(
-            "EF: attack success vs injected fault intensity",
-            ["intensity", "HTML serialized (%)", "HTML identified (%)",
-             "broken (%)", "reconnects", "stream retries",
-             "size err (B)", "ok cells"])
-        for point in self.points:
-            table.add_row(point.intensity, point.html_serialized_pct,
-                          point.html_identified_pct, point.broken_pct,
-                          point.mean_reconnects, point.mean_stream_retries,
-                          point.mean_size_error_bytes,
-                          f"{point.n_ok}/{point.n_cells}")
-        return table
 
 
 def run_cell(seed: int, intensity: float, plan: list) -> dict:
@@ -121,52 +73,36 @@ def run_cell(seed: int, intensity: float, plan: list) -> dict:
     }
 
 
-def run_faults_eval(n_per_point: int = 40, base_seed: int = 0,
-                    intensities: Sequence[float] = (0.0, 0.25, 0.5, 1.0),
-                    runner: RunnerOptions = RunnerOptions(),
-                    ) -> FaultsEvalResult:
-    """Sweep fault intensity; 0.0 is the paper's quiet-path baseline."""
-    specs = []
-    for intensity in intensities:
-        for i in range(n_per_point):
-            seed = base_seed + i
-            plan = plan_for_intensity(intensity, seed)
-            specs.append(RunSpec.make(CELL, seed, intensity=intensity,
-                                      plan=plan.to_jsonable()))
-    grid = runner.run(specs, strict=False)
+EXPERIMENT = Experiment(
+    command="faults", help="EF: attack success under injected faults",
+    default_n=20,
+    title=lambda s: "EF: attack success vs injected fault intensity",
+    cell=CELL,
+    defaults={"n_per_point": 40, "intensities": (0.0, 0.25, 0.5, 1.0)},
+    axes=lambda s: dict(
+        intensity=tuple(s.intensities), seeds=s.seeds,
+        plan=lambda p: [plan_for_intensity(p["intensity"],
+                                           p["seed"]).to_jsonable()]),
+    rows=("intensity",),
+    columns=(
+        Column("intensity", "intensity"),
+        Column("HTML serialized (%)", "html_serialized_pct",
+               pct("serialized")),
+        Column("HTML identified (%)", "html_identified_pct",
+               pct("identified")),
+        Column("broken (%)", "broken_pct", pct("broken")),
+        Column("reconnects", "mean_reconnects", mean("reconnects")),
+        Column("stream retries", "mean_stream_retries",
+               mean("stream_retries")),
+        # Mean absolute error of the adversary's best HTML size
+        # estimate, over the sessions where it produced any estimate.
+        Column("size err (B)", "mean_size_error_bytes",
+               mean_present("size_error_bytes", 0.0)),
+        OK_CELLS,
+    ),
+    strict=False,
+)
 
-    by_intensity: Dict[float, List[dict]] = {i: [] for i in intensities}
-    cells_attempted: Dict[float, int] = {i: 0 for i in intensities}
-    failures: List[str] = []
-    for result in grid:
-        intensity = result.spec.kwargs()["intensity"]
-        cells_attempted[intensity] += 1
-        if result.failed:
-            failures.append(f"intensity={intensity} "
-                            f"seed={result.spec.seed}: {result.error}")
-        else:
-            by_intensity[intensity].append(result.metrics)
 
-    points: List[FaultPoint] = []
-    for intensity in intensities:
-        cells = by_intensity[intensity]
-        n = max(1, len(cells))
-        errors = [c["size_error_bytes"] for c in cells
-                  if c["size_error_bytes"] is not None]
-        points.append(FaultPoint(
-            intensity=intensity,
-            html_serialized_pct=100.0 * sum(c["serialized"]
-                                            for c in cells) / n,
-            html_identified_pct=100.0 * sum(c["identified"]
-                                            for c in cells) / n,
-            broken_pct=100.0 * sum(c["broken"] for c in cells) / n,
-            mean_reconnects=sum(c["reconnects"] for c in cells) / n,
-            mean_stream_retries=sum(c["stream_retries"] for c in cells) / n,
-            mean_size_error_bytes=(sum(errors) / len(errors)
-                                   if errors else 0.0),
-            n_ok=len(cells),
-            n_cells=cells_attempted[intensity],
-        ))
-    return FaultsEvalResult(n_per_point=n_per_point, points=points,
-                            failures=failures,
-                            telemetry=GridTelemetry().add(grid))
+#: Sweep fault intensity; 0.0 is the paper's quiet-path baseline.
+run_faults_eval = EXPERIMENT.run

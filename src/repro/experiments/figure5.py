@@ -9,16 +9,9 @@ HTML non-multiplexed peaking around 800 Mbps and degrading toward
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
-
 from repro.core.phases import jitter_plus_throttle_config
-from repro.experiments.results import ResultTable
-from repro.experiments.runner import (
-    GridTelemetry,
-    RunnerOptions,
-    RunSpec,
-)
+from repro.experiments.experiment import (Column, Experiment, mean,
+                                          observed_pct, pct)
 from repro.experiments.session import SessionConfig, run_session
 from repro.website.isidewith import HTML_PATH
 
@@ -27,42 +20,6 @@ BANDWIDTH_VALUES_BPS = (1_000e6, 800e6, 500e6, 100e6, 1e6)
 
 #: Runner cell for one (seed, jitter, bandwidth) grid point.
 CELL = "repro.experiments.figure5:run_cell"
-
-
-@dataclass
-class BandwidthPoint:
-    """Measurements at one throttle setting."""
-
-    bandwidth_bps: float
-    nonmux_pct: float
-    mean_retransmissions: float
-    broken_pct: float
-    mean_duration_s: float
-
-
-@dataclass
-class Figure5Result:
-    """The full bandwidth sweep."""
-
-    n_per_point: int
-    jitter_s: float
-    points: List[BandwidthPoint]
-    telemetry: Optional[GridTelemetry] = None
-
-    def table(self) -> ResultTable:
-        table = ResultTable(
-            f"E3 / Fig. 5: bandwidth sweep (jitter={self.jitter_s*1000:.0f} ms)",
-            ["bandwidth (Mbps)", "success/non-mux (%)", "retx/load",
-             "broken (%)", "load time (s)"])
-        for point in self.points:
-            table.add_row(
-                point.bandwidth_bps / 1e6,
-                point.nonmux_pct,
-                point.mean_retransmissions,
-                point.broken_pct,
-                point.mean_duration_s,
-            )
-        return table
 
 
 def run_cell(seed: int, jitter_s: float, bandwidth_bps: float) -> dict:
@@ -86,35 +43,25 @@ def run_cell(seed: int, jitter_s: float, bandwidth_bps: float) -> dict:
     }
 
 
-def run_figure5(n_per_point: int = 100, base_seed: int = 0,
-                jitter_s: float = 0.05,
-                bandwidths: Sequence[float] = BANDWIDTH_VALUES_BPS,
-                runner: RunnerOptions = RunnerOptions()) -> Figure5Result:
-    """Run the Fig. 5 sweep."""
-    specs = [RunSpec.make(CELL, base_seed + i, jitter_s=jitter_s,
-                          bandwidth_bps=bandwidth)
-             for bandwidth in bandwidths for i in range(n_per_point)]
-    grid = runner.run(specs)
+EXPERIMENT = Experiment(
+    command="figure5", help="E3: Fig. 5 bandwidth sweep", default_n=20,
+    title=lambda s: (f"E3 / Fig. 5: bandwidth sweep "
+                     f"(jitter={s.jitter_s*1000:.0f} ms)"),
+    cell=CELL,
+    defaults={"n_per_point": 100, "jitter_s": 0.05,
+              "bandwidths": BANDWIDTH_VALUES_BPS},
+    axes=lambda s: dict(bandwidth_bps=tuple(s.bandwidths),
+                        jitter_s=s.jitter_s, seeds=s.seeds),
+    rows=("bandwidth_bps",),
+    columns=(
+        Column("bandwidth (Mbps)", "bandwidth_bps", show=lambda b: b / 1e6),
+        Column("success/non-mux (%)", "nonmux_pct", observed_pct("nonmux")),
+        Column("retx/load", "mean_retransmissions", mean("retransmissions")),
+        Column("broken (%)", "broken_pct", pct("broken")),
+        Column("load time (s)", "mean_duration_s", mean("duration_s")),
+    ),
+)
 
-    by_bandwidth: Dict[float, List[dict]] = {b: [] for b in bandwidths}
-    for result in grid:
-        by_bandwidth[result.spec.kwargs()["bandwidth_bps"]].append(
-            result.metrics)
 
-    points: List[BandwidthPoint] = []
-    for bandwidth in bandwidths:
-        cells = by_bandwidth[bandwidth]
-        nonmux = sum(c["nonmux"] for c in cells)
-        observed = sum(c["observed"] for c in cells)
-        points.append(BandwidthPoint(
-            bandwidth_bps=bandwidth,
-            nonmux_pct=100.0 * nonmux / max(1, observed),
-            mean_retransmissions=sum(c["retransmissions"]
-                                     for c in cells) / n_per_point,
-            broken_pct=100.0 * sum(c["broken"] for c in cells) / n_per_point,
-            mean_duration_s=sum(c["duration_s"]
-                                for c in cells) / n_per_point,
-        ))
-    return Figure5Result(n_per_point=n_per_point, jitter_s=jitter_s,
-                         points=points,
-                         telemetry=GridTelemetry().add(grid))
+#: Run the Fig. 5 sweep.
+run_figure5 = EXPERIMENT.run

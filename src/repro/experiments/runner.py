@@ -607,19 +607,26 @@ class RunnerOptions:
                         ledger=self.ledger, strict=strict)
 
 
-def grid(fn: str, seeds: Iterable[int], **param_grid: Any) -> List[RunSpec]:
-    """Cartesian product helper: one spec per (seed x param combo).
+def grid(fn: str, **axes: Any) -> List[RunSpec]:
+    """The spec-product helper: one spec per combination of ``axes``.
 
-    ``param_grid`` values that are lists/tuples are swept; scalars are
-    held fixed.  Sweep order is the order the keyword arguments appear,
-    innermost being the seed, matching the serial loops the experiments
-    used before the runner existed.
+    Axes sweep in keyword order, outermost first; ``seeds`` is the seed
+    axis and must be given.  A list, tuple or range is swept and any
+    other value is held fixed.  A callable is a dependent axis: it is
+    called with the combination built so far (its seed under
+    ``"seed"``) and returns the values to sweep -- a one-element list
+    for a parameter derived from the others.
     """
+    if "seeds" not in axes:
+        raise TypeError("grid() needs a seeds axis")
     combos: List[Dict[str, Any]] = [{}]
-    for name, values in param_grid.items():
-        if not isinstance(values, (list, tuple)):
-            values = [values]
-        combos = [dict(combo, **{name: value})
-                  for combo in combos for value in values]
-    return [RunSpec.make(fn, seed, **combo)
-            for combo in combos for seed in seeds]
+    for name, values in axes.items():
+        name = "seed" if name == "seeds" else name
+        swept: List[Dict[str, Any]] = []
+        for combo in combos:
+            options = values(combo) if callable(values) else values
+            if not isinstance(options, (list, tuple, range)):
+                options = [options]
+            swept.extend(dict(combo, **{name: value}) for value in options)
+        combos = swept
+    return [RunSpec.make(fn, combo.pop("seed"), **combo) for combo in combos]

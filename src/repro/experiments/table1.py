@@ -19,16 +19,9 @@ at every level).  The harness reports both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
-
 from repro.core.phases import jitter_only_config
-from repro.experiments.results import ResultTable
-from repro.experiments.runner import (
-    GridTelemetry,
-    RunnerOptions,
-    RunSpec,
-)
+from repro.experiments.experiment import (Column, Experiment, Group, mean,
+                                          observed_pct, pct)
 from repro.experiments.session import SessionConfig, run_session
 from repro.website.isidewith import HTML_PATH
 
@@ -41,43 +34,6 @@ PAPER_RETX_INCREASE_PCT = {0.0: 0, 0.025: 33, 0.05: 130, 0.1: 194}
 
 #: Runner cell for one (seed, jitter, style) grid point.
 CELL = "repro.experiments.table1:run_cell"
-
-
-@dataclass
-class JitterPoint:
-    """One jitter setting's measurements."""
-
-    jitter_s: float
-    nonmux_pct: float
-    mean_retransmissions: float
-    retx_increase_pct: float
-    broken_pct: float
-
-
-@dataclass
-class Table1Result:
-    """The full sweep for one jitter style."""
-
-    style: str
-    n_per_point: int
-    points: List[JitterPoint]
-    telemetry: Optional[GridTelemetry] = None
-
-    def table(self) -> ResultTable:
-        table = ResultTable(
-            f"E2 / Table I: jitter sweep (style={self.style})",
-            ["jitter (ms)", "non-mux (%)", "paper (%)",
-             "retx/load", "retx increase (%)", "paper (+%)"])
-        for point in self.points:
-            table.add_row(
-                int(point.jitter_s * 1000),
-                point.nonmux_pct,
-                PAPER_NONMUX_PCT.get(point.jitter_s, "-"),
-                point.mean_retransmissions,
-                point.retx_increase_pct,
-                PAPER_RETX_INCREASE_PCT.get(point.jitter_s, "-"),
-            )
-        return table
 
 
 def run_cell(seed: int, jitter_s: float, style: str) -> dict:
@@ -100,39 +56,35 @@ def run_cell(seed: int, jitter_s: float, style: str) -> dict:
     }
 
 
-def run_table1(n_per_point: int = 100, base_seed: int = 0,
-               style: str = "spacing",
-               jitter_values: Sequence[float] = JITTER_VALUES_S,
-               runner: RunnerOptions = RunnerOptions()) -> Table1Result:
-    """Run the Table I sweep for one jitter style."""
-    specs = [RunSpec.make(CELL, base_seed + i, jitter_s=jitter, style=style)
-             for jitter in jitter_values for i in range(n_per_point)]
-    grid = runner.run(specs)
+def _retx_increase(g: Group) -> float:
+    """Retransmissions relative to the first row (the baseline)."""
+    if not g.rows:
+        return 0.0
+    baseline = max(g.rows[0].mean_retransmissions, 0.01)
+    return 100.0 * (g.row.mean_retransmissions - baseline) / baseline
 
-    by_jitter: Dict[float, List[dict]] = {j: [] for j in jitter_values}
-    for result in grid:
-        by_jitter[result.spec.kwargs()["jitter_s"]].append(result.metrics)
 
-    points: List[JitterPoint] = []
-    baseline_retx: Optional[float] = None
-    for jitter in jitter_values:
-        cells = by_jitter[jitter]
-        nonmux = sum(c["nonmux"] for c in cells)
-        observed = sum(c["observed"] for c in cells)
-        retx = sum(c["retransmissions"] for c in cells)
-        broken = sum(c["broken"] for c in cells)
-        mean_retx = retx / n_per_point
-        if baseline_retx is None:
-            baseline_retx = max(mean_retx, 0.01)
-            increase = 0.0
-        else:
-            increase = 100.0 * (mean_retx - baseline_retx) / baseline_retx
-        points.append(JitterPoint(
-            jitter_s=jitter,
-            nonmux_pct=100.0 * nonmux / max(1, observed),
-            mean_retransmissions=mean_retx,
-            retx_increase_pct=increase,
-            broken_pct=100.0 * broken / n_per_point,
-        ))
-    return Table1Result(style=style, n_per_point=n_per_point, points=points,
-                        telemetry=GridTelemetry().add(grid))
+EXPERIMENT = Experiment(
+    command="table1", help="E2: Table I jitter sweep", default_n=30,
+    title=lambda s: f"E2 / Table I: jitter sweep (style={s.style})",
+    cell=CELL,
+    defaults={"n_per_point": 100, "style": "spacing",
+              "jitter_values": JITTER_VALUES_S},
+    axes=lambda s: dict(jitter_s=tuple(s.jitter_values), style=s.style,
+                        seeds=s.seeds),
+    rows=("jitter_s",),
+    columns=(
+        Column("jitter (ms)", "jitter_s", show=lambda j: int(j * 1000)),
+        Column("non-mux (%)", "nonmux_pct", observed_pct("nonmux"),
+               paper=PAPER_NONMUX_PCT, paper_header="paper (%)"),
+        Column("retx/load", "mean_retransmissions", mean("retransmissions")),
+        Column("retx increase (%)", "retx_increase_pct", _retx_increase,
+               paper=PAPER_RETX_INCREASE_PCT, paper_header="paper (+%)"),
+        Column(None, "broken_pct", pct("broken")),
+    ),
+    flags=(("style", ("spacing", "netem")),),
+)
+
+
+#: Run the Table I sweep for one jitter style.
+run_table1 = EXPERIMENT.run

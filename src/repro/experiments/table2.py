@@ -12,21 +12,14 @@ all        90    90   85   81   80   62   64   78   64
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional
+from dataclasses import asdict
+from typing import List, Optional
 
 from repro.core.phases import AttackConfig
-from repro.experiments.evaluation import (
-    Table2Outcome,
-    aggregate_table2,
-    evaluate_table2,
-)
-from repro.experiments.results import ResultTable
-from repro.experiments.runner import (
-    GridTelemetry,
-    RunnerOptions,
-    RunSpec,
-)
+from repro.experiments.evaluation import (Table2Outcome, aggregate_table2,
+                                          evaluate_table2)
+from repro.experiments.experiment import Column, Experiment, Group
+from repro.experiments.runner import grid
 from repro.experiments.session import SessionConfig, run_session
 
 PAPER_SINGLE = (100, 100, 100, 100, 100, 100, 100, 100, 100)
@@ -38,33 +31,8 @@ PAPER_GAP_PREV_MS = (500, 780, 0.4, 2, 0.3, 0.1, 0.3, 2, 0.5)
 #: Runner cells: one attacked load / one clean profiling load.
 CELL = "repro.experiments.table2:run_cell"
 GAP_CELL = "repro.experiments.table2:run_gap_cell"
-
-
-@dataclass
-class Table2Result:
-    """Aggregated per-object success rates."""
-
-    n: int
-    single_pct: List[float]
-    all_pct: List[float]
-    broken_pct: float
-    mean_resets: float
-    #: Measured natural inter-request gaps (ms), Table II row 1.
-    gap_prev_ms: List[float]
-    telemetry: Optional[GridTelemetry] = None
-
-    def table(self) -> ResultTable:
-        table = ResultTable(
-            "E5 / Table II: per-object attack success and request timing",
-            ["object", "gap prev (ms)", "paper", "single (%)", "paper",
-             "all-objects (%)", "paper"])
-        for i, label in enumerate(OBJECT_LABELS):
-            table.add_row(label,
-                          round(self.gap_prev_ms[i], 1),
-                          PAPER_GAP_PREV_MS[i],
-                          self.single_pct[i], PAPER_SINGLE[i],
-                          self.all_pct[i], PAPER_ALL[i])
-        return table
+#: First seed of the clean profiling loads, clear of the attacked ones.
+GAP_BASE_SEED = 5000
 
 
 def run_cell(seed: int) -> dict:
@@ -106,24 +74,21 @@ def run_gap_cell(seed: int) -> dict:
     }
 
 
-def measure_natural_gaps(n_loads: int = 10, base_seed: int = 5000,
-                         runner: RunnerOptions = RunnerOptions(),
-                         telemetry: Optional[GridTelemetry] = None,
-                         ) -> List[float]:
+def _natural_gaps(g: Group) -> List[float]:
     """Mean natural inter-request gaps (ms) for HTML and I1..I8.
 
     Measured over clean (un-attacked) loads, exactly as the paper's
     adversary profiled its target before tuning the jitter
     (assumption 4 of Section III).
     """
-    specs = [RunSpec.make(GAP_CELL, base_seed + i) for i in range(n_loads)]
-    grid = runner.run(specs)
-    if telemetry is not None:
-        telemetry.add(grid)
+    n_loads = min(10, max(3, g.n // 4))
+    profile = g.runner.run(grid(
+        GAP_CELL, seeds=range(GAP_BASE_SEED, GAP_BASE_SEED + n_loads)))
+    g.telemetry.add(profile)
 
     sums = [0.0] * 9
     counts = [0] * 9
-    for metrics in grid.metrics():
+    for metrics in profile.metrics():
         for slot, gap in enumerate(metrics["gaps_ms"]):
             if gap is None:
                 continue
@@ -132,23 +97,35 @@ def measure_natural_gaps(n_loads: int = 10, base_seed: int = 5000,
     return [sums[i] / counts[i] if counts[i] else 0.0 for i in range(9)]
 
 
-def run_table2(n_loads: int = 100, base_seed: int = 0,
-               runner: RunnerOptions = RunnerOptions()) -> Table2Result:
-    """Run the full attack over many volunteer sessions."""
-    specs = [RunSpec.make(CELL, base_seed + i) for i in range(n_loads)]
-    grid = runner.run(specs)
-    telemetry = GridTelemetry().add(grid)
+def _aggregated(key: str):
+    return lambda g: g.row.aggregated[key]
 
-    outcomes = [Table2Outcome(**metrics["outcome"])
-                for metrics in grid.metrics()]
-    aggregated = aggregate_table2(outcomes)
-    return Table2Result(
-        n=aggregated["n"],
-        single_pct=aggregated["single"],
-        all_pct=aggregated["all"],
-        broken_pct=aggregated["broken_pct"],
-        mean_resets=aggregated["mean_resets"],
-        gap_prev_ms=measure_natural_gaps(min(10, max(3, n_loads // 4)),
-                                         runner=runner, telemetry=telemetry),
-        telemetry=telemetry,
-    )
+
+EXPERIMENT = Experiment(
+    command="table2", help="E5: Table II attack accuracy", default_n=40,
+    title=lambda s: ("E5 / Table II: per-object attack success and "
+                     "request timing"),
+    cell=CELL, count="n_loads",
+    defaults={"n_loads": 100},
+    axes=lambda s: dict(seeds=s.seeds),
+    rows=(),
+    columns=(
+        Column(None, "aggregated", lambda g: aggregate_table2(
+            [Table2Outcome(**c["outcome"]) for c in g.cells])),
+        Column("object", "object", lambda g: OBJECT_LABELS),
+        Column("gap prev (ms)", "gap_prev_ms", _natural_gaps,
+               show=lambda gaps: [round(gap, 1) for gap in gaps],
+               paper=PAPER_GAP_PREV_MS),
+        Column("single (%)", "single_pct", _aggregated("single"),
+               paper=PAPER_SINGLE),
+        Column("all-objects (%)", "all_pct", _aggregated("all"),
+               paper=PAPER_ALL),
+        Column(None, "broken_pct", _aggregated("broken_pct")),
+        Column(None, "mean_resets", _aggregated("mean_resets")),
+    ),
+    transpose=True,
+)
+
+
+#: Run the full attack over many volunteer sessions.
+run_table2 = EXPERIMENT.run

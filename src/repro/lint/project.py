@@ -402,14 +402,15 @@ class Project:
             self._event_seeds.update(self.resolve(value, fn))
 
     def _record_cell_spec(self, node: ast.Call, info: ModuleContext) -> None:
-        """``RunSpec.make("mod:fn", ...)`` / ``RunSpec(fn="mod:fn")``."""
+        """``RunSpec.make("mod:fn", ...)`` / ``RunSpec(fn="mod:fn")`` /
+        ``grid("mod:fn", ...)`` / ``Experiment(cell="mod:fn", ...)``."""
         terminal = terminal_name(node.func)
         dotted = dotted_name(node.func) or ""
-        if not (terminal == "RunSpec"
+        if not (terminal in ("RunSpec", "grid", "Experiment")
                 or (terminal == "make" and "RunSpec" in dotted)):
             return
         spec_args = list(node.args[:1]) + [kw.value for kw in node.keywords
-                                           if kw.arg == "fn"]
+                                           if kw.arg in ("fn", "cell")]
         for arg in spec_args:
             text = self._constant_str(arg, info)
             if text and ":" in text:

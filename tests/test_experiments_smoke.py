@@ -40,7 +40,7 @@ def test_table1_structure():
 
 def test_table1_netem_style():
     result = run_table1(n_per_point=2, jitter_values=(0.05,), style="netem")
-    assert result.style == "netem"
+    assert result.settings.style == "netem"
 
 
 def test_figure5_structure():
@@ -60,9 +60,10 @@ def test_drops_structure():
 
 def test_table2_structure():
     result = run_table2(n_loads=3)
-    assert len(result.single_pct) == 9
-    assert len(result.all_pct) == 9
-    assert all(result.single_pct[i] >= result.all_pct[i]
+    row = result.points[0]
+    assert len(row.single_pct) == 9
+    assert len(row.all_pct) == 9
+    assert all(row.single_pct[i] >= row.all_pct[i]
                for i in range(9))
     assert "Table II" in result.table().to_text()
 

@@ -637,6 +637,26 @@ class TestCache001:
         assert findings[0].trace, "cell-reachability witness expected"
         assert any("run_cell" in hop for hop in findings[0].trace)
 
+    @pytest.mark.parametrize("registration", [
+        "SPECS = grid(CELL, seeds=range(2))",
+        "EXPERIMENT = Experiment(command='x', cell=CELL)",
+    ])
+    def test_bad_env_read_in_cell_declared_by_grid_or_experiment(
+            self, registration):
+        bad = textwrap.dedent(f"""
+            import os
+
+            from repro.experiments.experiment import Experiment
+            from repro.experiments.runner import grid
+
+            CELL = "repro.experiments.fixture:run_cell"
+            {registration}
+
+            def run_cell(seed):
+                return os.getenv("HOME")
+        """)
+        assert codes(bad, module="repro.experiments.fixture") == ["CACHE001"]
+
     def test_bad_open_and_environ_subscript(self):
         bad = cell_source("""
             import os
