@@ -184,9 +184,10 @@ def _run_packet_trace(scale: Scale) -> int:
 def _run_trace_export(scale: Scale) -> int:
     """The start of the adversary pipeline replayed from a capture: the
     ``packet_trace`` synthetic capture written with ``save_trace`` to a
-    temporary directory, read back with ``load_trace`` and reassembled
-    into records in both directions.  The event count is packets loaded
-    plus records reassembled.
+    column archive in a temporary directory, read back with
+    ``load_trace`` and reassembled into records in both directions
+    straight from its columns.  The event count is packets loaded plus
+    records reassembled.
     """
     import tempfile
     from pathlib import Path
@@ -196,7 +197,7 @@ def _run_trace_export(scale: Scale) -> int:
 
     recorder = _synthetic_capture(scale)
     with tempfile.TemporaryDirectory(prefix="repro-bench-") as workdir:
-        path = Path(workdir) / "capture.jsonl"
+        path = Path(workdir) / "capture.npz"
         save_trace(recorder, path)
         loaded = load_trace(path)
     records = sum(len(loaded.completed_records(direction, content_type))

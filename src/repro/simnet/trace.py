@@ -19,13 +19,64 @@ the replay each ask for the same ``completed_records`` of one capture.
 Because the recorder is append-only, a cached result stays valid until
 the packet count changes; the cache is stamped with that count and
 dropped whole when it moves (or on :meth:`TraceRecorder.clear`).
+Reassembly itself is one loop over flat record rows ``(time, size,
+record_id, content_type, wire_len, is_start, is_end)``, fed from the
+captured views or from a loaded capture's columns.
+
+Views are lazy in a recorder loaded from a saved capture
+(:func:`repro.simnet.export.load_trace`, :meth:`TraceRecorder.from_columns`).
+It keeps the capture's packet, TCP-header and record tables
+(:class:`CaptureColumns`) and fills only the time, direction and
+dropped lists and the retransmission counters from them.  ``__len__``,
+:meth:`~TraceRecorder.time_span`, :meth:`~TraceRecorder.retransmit_count`
+and :meth:`~TraceRecorder.completed_records` read the columns and build
+no :class:`~repro.simnet.packet.WireView`; the offline adversary needs
+nothing else.  The views are built once, ahead of any packet the tap
+appended after the load, the first time :meth:`~TraceRecorder.packets`
+(and so ``application_packets``, ``retransmitted_packets`` and
+``count``) asks for them.  The columns are numpy structured arrays, but
+this module only calls their methods: the simulator never imports numpy.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from itertools import chain
+from typing import (
+    Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple)
 
-from repro.simnet.packet import WireView
+from repro.simnet.packet import RecordInfo, TcpWireView, WireView
+
+#: Leaf value of each code in a capture's flag columns.  A flag keeps
+#: its type across a save and load: ``False``/``True`` are codes 0/1,
+#: int ``0``/``1`` are codes 2/3, and ``code & 1`` is its truth value.
+FLAG_VALUES = (False, True, 0, 1)
+
+
+def flag_code(flag: Any) -> int:
+    """The code of ``flag`` in a flag column (see :data:`FLAG_VALUES`);
+    ``ValueError`` for a flag that is neither a bool nor int 0/1."""
+    if flag is True or flag is False:
+        return int(flag)
+    if type(flag) is int and flag in (0, 1):
+        return flag + 2
+    raise ValueError(f"flag {flag!r} is neither a bool nor int 0/1")
+
+
+#: ``(time, size, record_id, content_type, wire_len, is_start, is_end)``
+#: of one record slice: the packet's capture time and on-wire size,
+#: then the slice's cleartext record header fields.
+RecordRow = Tuple[float, int, int, int, int, Any, Any]
+
+
+def _rows(table: Any, fields: Tuple[str, ...],
+          flags: Tuple[str, ...]) -> Iterable[tuple]:
+    """Rows of a column table as tuples of Python values: ``fields`` as
+    stored, then ``flags`` decoded through :data:`FLAG_VALUES`.  One
+    ``tolist()`` per column: a structured array's own ``tolist()`` is
+    several times slower."""
+    flag = FLAG_VALUES.__getitem__
+    return zip(*[table[field].tolist() for field in fields],
+               *[list(map(flag, table[field].tolist())) for field in flags])
 
 
 class CapturedPacket(NamedTuple):
@@ -56,11 +107,26 @@ class CompletedRecord(NamedTuple):
     final_packet_size: int
 
 
+class CaptureColumns(NamedTuple):
+    """A saved capture as columns (layout and dtypes in
+    :mod:`repro.simnet.export`)."""
+
+    #: One row per packet, in capture order.
+    packets: Any
+    #: One row per packet whose ``has_tcp`` is set, in capture order.
+    tcp: Any
+    #: One row per record slice: each packet's ``n_records`` rows in turn.
+    records: Any
+    #: Direction and host names; ``packets`` holds indices into it.
+    names: Tuple[str, ...]
+
+
 class TraceRecorder:
     """Accumulates captured packets and derives record-level views."""
 
     __slots__ = ("include_dropped", "_times", "_directions", "_views",
-                 "_dropped", "_retransmits", "_records", "_records_len")
+                 "_dropped", "_retransmits", "_records", "_records_len",
+                 "_columns")
 
     def __init__(self, include_dropped: bool = True):
         self.include_dropped = include_dropped
@@ -76,6 +142,30 @@ class TraceRecorder:
         self._records: Dict[Tuple[str, Optional[int]],
                             List[CompletedRecord]] = {}
         self._records_len = 0
+        #: A loaded capture whose views are not built yet: they belong
+        #: ahead of every view in ``_views``.
+        self._columns: Optional[CaptureColumns] = None
+
+    @classmethod
+    def from_columns(cls, columns: CaptureColumns) -> "TraceRecorder":
+        """A recorder over a saved capture that builds no view until one
+        is asked for (see the module docstring)."""
+        recorder = cls()
+        packets = columns.packets
+        names = columns.names
+        directions = packets["direction"]
+        recorder._times = packets["time"].tolist()
+        recorder._directions = list(map(names.__getitem__,
+                                        directions.tolist()))
+        recorder._dropped = list(map(FLAG_VALUES.__getitem__,
+                                     packets["dropped"].tolist()))
+        retransmitted = directions[(packets["retx"] & 1).astype(bool)]
+        for index, name in enumerate(names):
+            count = int((retransmitted == index).sum())
+            if count:
+                recorder._retransmits[name] = count
+        recorder._columns = columns
+        return recorder
 
     # The middlebox tap signature.
     def __call__(self, now: float, direction: str, view: WireView, dropped: bool) -> None:
@@ -100,10 +190,43 @@ class TraceRecorder:
         self._dropped.clear()
         self._retransmits.clear()
         self._records.clear()
+        self._columns = None
+
+    def _build_views(self) -> None:
+        """Build a loaded capture's views, ahead of any the tap appended
+        after the load; a no-op once built."""
+        columns = self._columns
+        if columns is None:
+            return
+        self._columns = None
+        names = columns.names
+        packets = columns.packets
+        # ``tuple.__new__`` skips each NamedTuple's Python-level
+        # ``__new__``, as in ``_reassemble``.
+        new = tuple.__new__
+        headers = (new(TcpWireView, row) for row in _rows(
+            columns.tcp, ("src_port", "dst_port", "seq", "ack", "payload_len"),
+            ("syn", "fin", "rst", "is_ack")))
+        infos = [new(RecordInfo, row) for row in _rows(
+            columns.records,
+            ("record_id", "content_type", "wire_len", "bytes_in_packet"),
+            ("is_start", "is_end"))]
+        views = []
+        end = 0
+        for pid, src, dst, size, has_tcp, n_records, retx in _rows(
+                packets, ("pid", "src", "dst", "size", "has_tcp",
+                          "n_records"), ("retx",)):
+            start, end = end, end + n_records
+            views.append(new(WireView, (
+                pid, names[src], names[dst], size,
+                next(headers) if has_tcp else None, tuple(infos[start:end]),
+                retx)))
+        self._views[:0] = views
 
     def packets(self, direction: Optional[str] = None,
                 include_dropped: bool = False) -> List[CapturedPacket]:
         """Captured packets, optionally filtered by direction."""
+        self._build_views()
         return [
             CapturedPacket(t, d, v, x)
             for t, d, v, x in zip(self._times, self._directions,
@@ -144,22 +267,67 @@ class TraceRecorder:
 
     def _reassemble(self, direction: str,
                     content_type: Optional[int]) -> List[CompletedRecord]:
+        rows: Iterable[RecordRow] = self._view_rows(direction, content_type)
+        if self._columns is not None:
+            rows = chain(self._column_rows(direction, content_type), rows)
+        # ``tuple.__new__`` builds the same CompletedRecord without the
+        # Python-level ``__new__`` frame, the dearest step of a row.
+        new = tuple.__new__
         open_records: dict = {}
         completed: List[CompletedRecord] = []
-        for time, d, view, dropped in zip(self._times, self._directions,
-                                          self._views, self._dropped):
-            if d != direction or dropped:
-                continue
-            for key, ctype, wire_len, _, is_start, is_end in view.records:
-                if content_type is not None and ctype != content_type:
-                    continue
-                if is_start or key not in open_records:
-                    open_records[key] = time
-                if is_end:
-                    start_time = open_records.pop(key, time)
-                    completed.append(CompletedRecord(
-                        key, ctype, wire_len, start_time, time, d, view.size))
+        for time, size, key, ctype, wire_len, is_start, is_end in rows:
+            if is_end:
+                # The final slice closes the record its key opened; one
+                # that is also a first slice, or finds no open record,
+                # starts the record at its own time.
+                start_time = open_records.pop(key, time)
+                completed.append(new(CompletedRecord, (
+                    key, ctype, wire_len, time if is_start else start_time,
+                    time, direction, size)))
+            elif is_start or key not in open_records:
+                open_records[key] = time
         return completed
+
+    def _view_rows(self, direction: str,
+                   content_type: Optional[int]) -> Iterable[RecordRow]:
+        """Record rows of the delivered ``direction`` packets whose view
+        is built."""
+        times, directions, dropped = self._times, self._directions, \
+            self._dropped
+        skip = len(times) - len(self._views)
+        if skip:
+            times, directions, dropped = \
+                times[skip:], directions[skip:], dropped[skip:]
+        for time, d, view, x in zip(times, directions, self._views, dropped):
+            if d != direction or x:
+                continue
+            size = view.size
+            for key, ctype, wire_len, _, is_start, is_end in view.records:
+                if content_type is None or ctype == content_type:
+                    yield time, size, key, ctype, wire_len, is_start, is_end
+
+    def _column_rows(self, direction: str,
+                     content_type: Optional[int]) -> Iterable[RecordRow]:
+        """Record rows of the delivered ``direction`` packets of a loaded
+        capture, filtered on the columns before any row is built."""
+        columns = self._columns
+        if direction not in columns.names:
+            return ()
+        packets = columns.packets
+        records = columns.records
+        counts = packets["n_records"]
+        keep = ((packets["direction"] == columns.names.index(direction))
+                & ((packets["dropped"] & 1) == 0)).repeat(counts)
+        if content_type is not None:
+            keep &= records["content_type"] == content_type
+        records = records[keep]
+        return zip(packets["time"].repeat(counts)[keep].tolist(),
+                   packets["size"].repeat(counts)[keep].tolist(),
+                   records["record_id"].tolist(),
+                   records["content_type"].tolist(),
+                   records["wire_len"].tolist(),
+                   (records["is_start"] & 1).tolist(),
+                   (records["is_end"] & 1).tolist())
 
     def count(self, predicate: Callable[[CapturedPacket], bool]) -> int:
         """Number of captured packets satisfying ``predicate``."""

@@ -1,15 +1,19 @@
 """Trace export/import and CLI tests."""
 
-import json
+import hashlib
 import re
+import zipfile
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
 from repro.core.estimator import SizeEstimator
 from repro.core.phases import AttackConfig
 from repro.experiments.session import SessionConfig, run_session
-from repro.simnet.export import load_trace, packet_from_dict, packet_to_dict, save_trace
+from repro.simnet.export import (
+    FORMAT_VERSION, RECORD_DTYPE, TCP_DTYPE, load_trace, save_trace)
 from repro.simnet.middlebox import CLIENT_TO_SERVER, SERVER_TO_CLIENT
 from repro.simnet.packet import RecordInfo, TcpWireView, WireView
 from repro.simnet.trace import TraceRecorder
@@ -38,15 +42,6 @@ def test_analysis_works_on_reloaded_capture(tmp_path):
     loaded_estimates = SizeEstimator().estimate_from_trace(loaded)
     assert [e.size for e in loaded_estimates] == \
            [e.size for e in original_estimates]
-
-
-def test_packet_dict_roundtrip_fields():
-    result = run_session(SessionConfig(seed=0))
-    captured = result.trace.packets()[0]
-    data = json.loads(json.dumps(packet_to_dict(captured)))
-    restored = packet_from_dict(data)
-    assert restored.view == captured.view
-    assert restored.time == captured.time
 
 
 def _typed(value):
@@ -100,97 +95,213 @@ def test_attacked_capture_roundtrip_matches_live_recorder(tmp_path):
     _assert_same_capture(load_trace(path), live)
 
 
-def _hand_written(count):
-    """``count`` packet dicts with varied fields, as ``packet_to_dict``
-    writes them."""
-    rows = []
-    for i in range(count):
-        records = [[i, 23 if i % 3 else 22, 1400 + i, 700, i % 2 == 0,
-                    i % 4 == 0]] * (i % 3)
-        row = {"time": i * 0.001, "direction": ("s2c", "c2s")[i % 2],
-               "dropped": i % 7 == 0, "pid": i + 1, "src": "server",
-               "dst": "client", "size": 54 + i, "retx": i % 5 == 0,
-               "records": records}
-        if i % 10:
-            row["tcp"] = [443, 40000, i * 100, 1, i, False, i % 9 == 0,
-                          False, True]
-        rows.append(row)
-    return rows
+#: A committed capture archive: the format check across numpy versions.
+FIXTURE = Path(__file__).parent / "data" / "capture-v1.npz"
+#: sha256 of ``repr(load_trace(FIXTURE).packets(include_dropped=True))``.
+FIXTURE_SHA256 = (
+    "7b9f7790bf4a693051242e65c149d251c925cb83c4efdbb71d97fa7e07e70e4a")
 
 
-def _per_line(lines):
-    """The recorder a per-line decode of ``lines`` builds."""
+def _fixture_recorder():
+    """The capture :data:`FIXTURE` holds (it was written with
+    ``save_trace(_fixture_recorder(), FIXTURE)``): 300 packets in both
+    directions with drops, retransmissions, records spanning packets,
+    handshake records, views without a TCP header and int flags."""
     recorder = TraceRecorder()
-    for line in lines:
-        if line.strip():
-            recorder(*packet_from_dict(json.loads(line)))
+    for i in range(300):
+        flag = int if i % 17 == 0 else bool
+        if i % 3:
+            direction, src, dst = SERVER_TO_CLIENT, "server", "client"
+        else:
+            direction, src, dst = CLIENT_TO_SERVER, "client", "server"
+        records = tuple(
+            RecordInfo(i // 4 + k, 22 if i < 12 else 23, 4096 + 7 * k,
+                       1024, flag(i % 4 == 0), flag(i % 4 == 3))
+            for k in range(i % 3))
+        tcp = None if i % 29 == 0 else TcpWireView(
+            443, 40000 + i % 2, 1000 * i, 7 * i, 1024 * len(records),
+            flag(i == 1), flag(i % 50 == 49), flag(False), flag(True))
+        view = WireView(i + 1, src, dst, 54 + 1024 * len(records), tcp,
+                        records, flag(i % 23 == 22))
+        recorder(0.5 + i / 1024, direction, view, flag(i % 13 == 12))
     return recorder
 
 
-@pytest.mark.parametrize("count, blank_every, trailing_newline", [
-    (256, 0, True),
-    (257, 0, False),
-    (700, 0, True),
-    (700, 50, False),
-    (255, 1, True),
-])
-def test_load_trace_batches_hand_written_files(tmp_path, count, blank_every,
-                                               trailing_newline):
-    lines = []
-    for i, row in enumerate(_hand_written(count)):
-        if blank_every and i % blank_every == 0:
-            lines.append("   ")
-        lines.append(json.dumps(row))
-    path = tmp_path / "hand.jsonl"
-    path.write_text("\n".join(lines) + ("\n" if trailing_newline else ""))
-    loaded = load_trace(path)
-    assert len(loaded) == count
-    _assert_same_capture(loaded, _per_line(lines))
+def test_committed_capture_fixture_loads_unchanged():
+    loaded = load_trace(FIXTURE)
+    packets = loaded.packets(include_dropped=True)
+    assert hashlib.sha256(repr(packets).encode()).hexdigest() == \
+        FIXTURE_SHA256
+    _assert_same_capture(loaded, _fixture_recorder())
+    assert {p.direction for p in packets} == {CLIENT_TO_SERVER,
+                                              SERVER_TO_CLIENT}
+    assert any(p.dropped for p in packets)
+    assert any(p.view.tcp is None for p in packets)
+    assert any(type(p.dropped) is int for p in packets)
+    assert any(type(p.view.is_retransmit) is int for p in packets)
+
+
+def test_save_trace_writes_exactly_the_given_path(tmp_path):
+    path = tmp_path / "x.jsonl"
+    assert save_trace(_fixture_recorder(), path) == 300
+    assert list(tmp_path.iterdir()) == [path]
+    assert zipfile.is_zipfile(path)
 
 
 def test_load_trace_empty_file(tmp_path):
+    """A capture of no packets round-trips."""
     path = tmp_path / "empty.jsonl"
-    path.write_text("\n\n")
-    assert len(load_trace(path)) == 0
+    assert save_trace(TraceRecorder(), path) == 0
+    loaded = load_trace(path)
+    assert len(loaded) == 0
+    assert loaded.packets(include_dropped=True) == []
+    assert loaded.completed_records(SERVER_TO_CLIENT, None) == []
+    assert loaded.time_span() == (0.0, 0.0)
+    assert loaded.retransmit_count() == 0
 
 
-def test_load_trace_names_line_of_truncated_capture(tmp_path):
-    lines = [json.dumps(row) for row in _hand_written(300)]
-    lines[-1] = lines[-1][:len(lines[-1]) // 2]
-    path = tmp_path / "killed.jsonl"
-    path.write_text("\n".join(lines))
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:300: ") as info:
+@pytest.mark.parametrize("flag", [2, -1, 1.0, None, "yes"])
+def test_save_trace_refuses_flag_that_cannot_round_trip(tmp_path, flag):
+    recorder = TraceRecorder()
+    recorder(1.0, SERVER_TO_CLIENT, WireView(1, "server", "client", 60, None),
+             flag)
+    with pytest.raises(ValueError, match="flag"):
+        save_trace(recorder, tmp_path / "bad.npz")
+
+
+def _members(tmp_path):
+    """The members of the fixture capture, as writable arrays."""
+    path = tmp_path / "valid.npz"
+    save_trace(_fixture_recorder(), path)
+    with np.load(path) as archive:
+        return {name: archive[name].copy() for name in archive.files}
+
+
+def _write_members(path, members):
+    with path.open("wb") as handle:
+        np.savez(handle, **members)
+
+
+def _refused(path):
+    """``load_trace(path)`` raises ``ValueError`` naming ``path``."""
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
         load_trace(path)
-    assert isinstance(info.value.__cause__, json.JSONDecodeError)
 
 
-@pytest.mark.parametrize("garbage", ["not json", "{}, {}", "]"])
-def test_load_trace_names_line_of_garbage(tmp_path, garbage):
-    lines = [json.dumps(row) for row in _hand_written(600)]
-    lines[299] = garbage
-    lines.insert(10, "")
-    path = tmp_path / "garbage.jsonl"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:301: ") as info:
-        load_trace(path)
-    assert isinstance(info.value.__cause__, json.JSONDecodeError)
+def _set(table, field, row, value):
+    def mutate(members):
+        members[table][field][row] = value
+    return mutate
+
+
+def _replace(name, value):
+    def mutate(members):
+        members[name] = value(members[name])
+    return mutate
+
+
+def _delete(name):
+    def mutate(members):
+        del members[name]
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [
+    pytest.param(_delete("version"), id="no-version"),
+    pytest.param(_delete("names"), id="no-names"),
+    pytest.param(_delete("packets"), id="no-packets"),
+    pytest.param(_delete("tcp"), id="no-tcp"),
+    pytest.param(_delete("records"), id="no-records"),
+    pytest.param(_replace("version", lambda v: np.array(
+        FORMAT_VERSION + 1, dtype="<i8")), id="unknown-version"),
+    pytest.param(_replace("version", lambda v: v.reshape(1)),
+                 id="version-vector"),
+    pytest.param(_replace("version", lambda v: v.astype("<f8")),
+                 id="version-float"),
+    pytest.param(_replace("names", lambda names: np.arange(len(names))),
+                 id="names-ints"),
+    pytest.param(_replace("names", lambda names: names.reshape(1, -1)),
+                 id="names-matrix"),
+    pytest.param(_replace("names", lambda names: names[[0, 1, 2, 3, 0]]),
+                 id="names-repeated"),
+    pytest.param(_replace("packets", lambda packets: packets["time"]),
+                 id="packets-one-column"),
+    pytest.param(_replace("packets", lambda packets: packets.reshape(2, -1)),
+                 id="packets-matrix"),
+    pytest.param(_replace("records", lambda records: records.astype(
+        [(name, "<i4" if name == "wire_len" else dtype)
+         for name, dtype in RECORD_DTYPE.descr])), id="records-narrow-int"),
+    pytest.param(_replace("tcp", lambda tcp: tcp.astype(
+        TCP_DTYPE.newbyteorder(">"))), id="tcp-big-endian"),
+    pytest.param(_replace("records", lambda records: records[:-1]),
+                 id="records-short"),
+    pytest.param(_replace("tcp", lambda tcp: tcp[1:]), id="tcp-short"),
+    pytest.param(_set("packets", "n_records", 1, 2), id="record-count"),
+    pytest.param(_set("packets", "n_records", 0, -1),
+                 id="record-count-negative"),
+    pytest.param(_set("packets", "has_tcp", 1, False), id="has-tcp"),
+    pytest.param(_set("packets", "direction", 5, 4), id="direction-index"),
+    pytest.param(_set("packets", "src", 3, -1), id="src-index"),
+    pytest.param(_set("packets", "dst", 3, 99), id="dst-index"),
+    pytest.param(_set("packets", "dropped", 7, 4), id="dropped-code"),
+    pytest.param(_set("tcp", "syn", 2, -1), id="syn-code"),
+    pytest.param(_set("records", "is_end", 0, 9), id="is-end-code"),
+    pytest.param(_replace("records", lambda records: np.array(
+        [None], dtype=object)), id="records-object"),
+    pytest.param(_replace("names", lambda names: names.astype(object)),
+                 id="names-object"),
+])
+def test_load_trace_refuses_inconsistent_archive(tmp_path, mutate):
+    members = _members(tmp_path)
+    mutate(members)
+    path = tmp_path / "broken.jsonl"
+    _write_members(path, members)
+    _refused(path)
+
+
+@pytest.mark.parametrize("content", [
+    b"",
+    b'{"time": 0.0, "direction": "s2c"}\n',
+    b"not a capture",
+])
+def test_load_trace_refuses_non_archive(tmp_path, content):
+    path = tmp_path / "capture.jsonl"
+    path.write_bytes(content)
+    _refused(path)
+
+
+def test_load_trace_refuses_npy_file(tmp_path):
+    path = tmp_path / "capture.npy"
+    with path.open("wb") as handle:
+        np.save(handle, np.arange(5))
+    _refused(path)
+
+
+@pytest.mark.parametrize("keep", [0.25, 0.5, 0.9, 0.999])
+def test_load_trace_refuses_truncated_archive(tmp_path, keep):
+    path = tmp_path / "capture.jsonl"
+    save_trace(_fixture_recorder(), path)
+    data = path.read_bytes()
+    path.write_bytes(data[:int(len(data) * keep)])
+    _refused(path)
 
 
 @pytest.mark.parametrize("field, value", [
-    ("tcp", [443, 40000, 1, 2, 3, False, False, False]),
-    ("tcp", [443, 40000, 1, 2, 3, False, False, False, True, True]),
-    ("records", [[1, 23, 1400, 700, True]]),
+    ("tcp", np.dtype(TCP_DTYPE.descr[:-1])),
+    ("tcp", np.dtype(TCP_DTYPE.descr + [("urg", "i1")])),
+    ("records", np.dtype(RECORD_DTYPE.descr[:-1])),
 ])
 def test_load_trace_rejects_wrong_length_fields(tmp_path, field, value):
-    row = _hand_written(1)[0]
-    row["tcp"] = [443, 40000, 0, 1, 0, False, False, False, True]
-    row[field] = value
-    with pytest.raises(TypeError):
-        packet_from_dict(row)
+    """A header or record table one field short or long is refused."""
+    members = _members(tmp_path)
+    table = np.zeros(members[field].shape, dtype=value)
+    for name in value.names:
+        if name in members[field].dtype.names:
+            table[name] = members[field][name]
+    members[field] = table
     path = tmp_path / "short.jsonl"
-    path.write_text(json.dumps(row) + "\n")
-    with pytest.raises(TypeError):
-        load_trace(path)
+    _write_members(path, members)
+    _refused(path)
 
 
 def test_parser_lists_all_experiments():

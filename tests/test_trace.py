@@ -1,12 +1,21 @@
 """Trace recorder and packet wire-view tests."""
 
-import pytest
+import tempfile
+from pathlib import Path
+from typing import List, Optional
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.simnet.export import load_trace, save_trace
 from repro.simnet.middlebox import CLIENT_TO_SERVER, SERVER_TO_CLIENT
-from repro.simnet.packet import HEADER_OVERHEAD, Packet, RecordInfo, WireView
-from repro.simnet.trace import TraceRecorder
+from repro.simnet.packet import (
+    HEADER_OVERHEAD, Packet, RecordInfo, TcpWireView, WireView)
+from repro.simnet.trace import CompletedRecord, TraceRecorder
 from repro.tcp.segment import RecordSlice, TcpSegment
 from repro.tls.record import APPLICATION_DATA, HANDSHAKE, TlsRecord
+from tests.test_export_cli import _typed
 
 
 def seg_packet(record, offset=0, length=None, retx=0, src="server",
@@ -231,6 +240,176 @@ def test_completed_records_memo_holds_current_length_only():
         assert sorted(recorder._records, key=repr) == \
             sorted(queried, key=repr)
         assert len(recorder.completed_records(SERVER_TO_CLIENT)) == n
+
+
+def _reference_reassemble(self, direction: str,
+                          content_type: Optional[int]) -> List[CompletedRecord]:
+    """Reference model: the per-view reassembly loop that the row loop
+    replaced, kept verbatim (``self`` is a live recorder)."""
+    open_records: dict = {}
+    completed: List[CompletedRecord] = []
+    for time, d, view, dropped in zip(self._times, self._directions,
+                                      self._views, self._dropped):
+        if d != direction or dropped:
+            continue
+        for key, ctype, wire_len, _, is_start, is_end in view.records:
+            if content_type is not None and ctype != content_type:
+                continue
+            if is_start or key not in open_records:
+                open_records[key] = time
+            if is_end:
+                start_time = open_records.pop(key, time)
+                completed.append(CompletedRecord(
+                    key, ctype, wire_len, start_time, time, d, view.size))
+    return completed
+
+
+_FLAGS = st.sampled_from([False, True, 0, 1])
+
+#: Record slices of few ids, so records span packets, interleave and
+#: are re-sent after they completed.
+_SLICES = st.lists(st.builds(
+    RecordInfo, st.integers(0, 4), st.sampled_from([22, 23]),
+    st.integers(29, 16406), st.integers(1, 1400), _FLAGS, _FLAGS),
+    max_size=3).map(tuple)
+
+_TCP = st.none() | st.builds(
+    TcpWireView, st.sampled_from([443, 40000]), st.sampled_from([443, 40000]),
+    st.integers(0, 2 ** 40), st.integers(0, 2 ** 40), st.integers(0, 1400),
+    _FLAGS, _FLAGS, _FLAGS, _FLAGS)
+
+_PACKETS = st.lists(st.tuples(
+    st.integers(0, 3), st.sampled_from([SERVER_TO_CLIENT, CLIENT_TO_SERVER]),
+    st.builds(WireView, st.integers(1, 10 ** 6),
+              st.sampled_from(["server", "client"]),
+              st.sampled_from(["client", "server"]),
+              st.integers(54, 1500), _TCP, _SLICES, _FLAGS),
+    _FLAGS), max_size=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(packets=_PACKETS, data=st.data())
+def test_reassembly_matches_reference_model(packets, data):
+    """Live views, a saved and loaded capture, and a loaded capture the
+    tap appended to all reassemble as the reference model does."""
+    live = TraceRecorder()
+    now = 0.0
+    for gap, direction, view, dropped in packets:
+        now += gap / 8
+        live(now, direction, view, dropped)
+    split = data.draw(st.integers(0, len(packets)), label="split")
+    head = TraceRecorder()
+    for captured in live.packets(include_dropped=True)[:split]:
+        head(*captured)
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "capture.npz"
+        save_trace(live, path)
+        loaded = load_trace(path)
+        save_trace(head, path)
+        extended = load_trace(path)
+    for captured in live.packets(include_dropped=True)[split:]:
+        extended(*captured)
+    for direction in (SERVER_TO_CLIENT, CLIENT_TO_SERVER):
+        for content_type in (23, None):
+            want = [_typed(r) for r in
+                    _reference_reassemble(live, direction, content_type)]
+            for recorder in (live, loaded, extended):
+                assert [_typed(r) for r in recorder.completed_records(
+                    direction, content_type)] == want
+    assert loaded._views == []
+    assert extended._views == [p.view for p in
+                               live.packets(include_dropped=True)[split:]]
+    for recorder in (loaded, extended):
+        assert [_typed(p) for p in recorder.packets(include_dropped=True)] \
+            == [_typed(p) for p in live.packets(include_dropped=True)]
+
+
+def _lossy_recorder():
+    """:func:`_records_recorder` plus a record spanning two packets, a
+    dropped packet, a retransmission each way and a view without TCP."""
+    recorder = _records_recorder()
+    record = app_record(2000)
+    recorder(1.4, SERVER_TO_CLIENT, seg_packet(record, 0, 1000).wire_view(),
+             False)
+    recorder(1.5, SERVER_TO_CLIENT, seg_packet(record, 1000).wire_view(),
+             True)
+    recorder(1.6, SERVER_TO_CLIENT,
+             seg_packet(record, 1000, retx=1).wire_view(), False)
+    recorder(1.7, CLIENT_TO_SERVER, seg_packet(
+        app_record(90), retx=2, src="client", dst="server").wire_view(), False)
+    recorder(1.8, SERVER_TO_CLIENT, WireView(99, "server", "client", 60,
+                                             None), False)
+    return recorder
+
+
+def test_loaded_recorder_builds_views_only_when_asked(tmp_path):
+    live = _lossy_recorder()
+    path = tmp_path / "capture.npz"
+    save_trace(live, path)
+    loaded = load_trace(path)
+    # The offline adversary's queries read the columns only.
+    assert len(loaded) == len(live) == 9
+    assert loaded.time_span() == live.time_span()
+    for direction in (None, SERVER_TO_CLIENT, CLIENT_TO_SERVER):
+        assert loaded.retransmit_count(direction) == \
+            live.retransmit_count(direction)
+    assert loaded.retransmit_count() == 2
+    for direction in (SERVER_TO_CLIENT, CLIENT_TO_SERVER):
+        for content_type in (23, 22, None):
+            assert loaded.completed_records(direction, content_type) == \
+                live.completed_records(direction, content_type)
+    assert loaded._views == [] and loaded._columns is not None
+    # Packet queries build the views once.
+    assert loaded.packets() == live.packets()
+    assert loaded._columns is None
+    assert loaded.packets(SERVER_TO_CLIENT, include_dropped=True) == \
+        live.packets(SERVER_TO_CLIENT, include_dropped=True)
+    for direction in (SERVER_TO_CLIENT, CLIENT_TO_SERVER):
+        assert loaded.application_packets(direction) == \
+            live.application_packets(direction)
+    assert loaded.retransmitted_packets() == live.retransmitted_packets()
+    assert loaded.count(lambda p: p.view.tcp is None) == 1
+    # A tap append invalidates the memo and shows in reassembly.
+    before = loaded.completed_records(SERVER_TO_CLIENT)
+    view = seg_packet(app_record(700)).wire_view()
+    for recorder in (loaded, live):
+        recorder(2.0, SERVER_TO_CLIENT, view, False)
+    after = loaded.completed_records(SERVER_TO_CLIENT)
+    assert after == live.completed_records(SERVER_TO_CLIENT)
+    assert after[:-1] == before
+    assert after[-1].wire_len == app_record(700).wire_len
+    loaded.clear()
+    assert len(loaded) == 0 and loaded.packets(include_dropped=True) == []
+    assert loaded.completed_records(SERVER_TO_CLIENT) == []
+    assert loaded.retransmit_count() == 0
+
+
+def test_loaded_recorder_tap_append_before_views_are_built(tmp_path):
+    live = _lossy_recorder()
+    path = tmp_path / "capture.npz"
+    save_trace(live, path)
+    loaded = load_trace(path)
+    view = seg_packet(app_record(700)).wire_view()
+    for recorder in (loaded, live):
+        recorder(2.0, SERVER_TO_CLIENT, view, False)
+    assert loaded._columns is not None and loaded._views == [view]
+    assert loaded.completed_records(SERVER_TO_CLIENT, None) == \
+        live.completed_records(SERVER_TO_CLIENT, None)
+    assert loaded.retransmit_count() == live.retransmit_count()
+    assert loaded.packets(include_dropped=True) == \
+        live.packets(include_dropped=True)
+
+
+def test_loaded_recorder_clear_forgets_unbuilt_views(tmp_path):
+    path = tmp_path / "capture.npz"
+    save_trace(_lossy_recorder(), path)
+    loaded = load_trace(path)
+    loaded.clear()
+    assert loaded.completed_records(SERVER_TO_CLIENT, None) == []
+    view = seg_packet(app_record(700)).wire_view()
+    loaded(2.0, SERVER_TO_CLIENT, view, False)
+    assert len(loaded.completed_records(SERVER_TO_CLIENT)) == 1
+    assert [p.view for p in loaded.packets()] == [view]
 
 
 def test_topology_wiring():
